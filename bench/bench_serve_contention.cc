@@ -1,19 +1,21 @@
 /**
  * @file
- * Contention scaling of the csr::serve hit path: locked vs seqlock
- * throughput as workers pile onto the same shards.
+ * Contention scaling of the csr::serve hit path: throughput as
+ * workers pile onto the same shards.
  *
  * Every cell replays the same read-only Zipfian stream (writeFraction
  * 0, keyspace sized so the cache holds the hot set and gets mostly
  * hit) under --affinity free, so every worker contends on every
- * shard.  Under the locked hit path that serializes each shard on its
- * mutex; under the seqlock path read hits take no lock at all, so hit
- * throughput should scale with the worker count.
+ * shard.  A get that finds its stripe mutex busy serves a read hit
+ * without taking it (DESIGN.md section 3.5), so hit throughput should
+ * scale with the worker count; at one worker the mutex is always
+ * free and every get takes it, which makes the first column the
+ * locked baseline.
  *
  * The figure of merit CI gates on: for each policy,
  *
- *     scaling = seqlock hits/s at max workers
- *             / locked  hits/s at the first (lowest) worker count
+ *     scaling = hits/s at max workers
+ *             / hits/s at the first (lowest) worker count
  *
  * --min-scaling F makes the binary exit non-zero when any policy's
  * scaling falls below F (the CI contention job passes 2.0).  On a
@@ -22,13 +24,13 @@
  *
  * A second sweep measures the WRITE path: the same stream with
  * --write-fracs (default 0.3) mixed writes, replayed against the
- * single-mutex shard ("locked": --stripes 1, locked hit path) and the
- * striped shard ("striped": --stripes N, seqlock hit path).  Writes
- * serialize per stripe, so striping is what lets them scale; the
- * figure of merit per policy and write fraction is
+ * single-mutex shard ("single": --stripes 1) and the striped shard
+ * ("striped": --stripes N).  Writes serialize per stripe, so striping
+ * is what lets them scale; the figure of merit per policy and write
+ * fraction is
  *
  *     write scaling = striped ops/s at max workers
- *                   / locked  ops/s at the first worker count
+ *                   / single  ops/s at the first worker count
  *
  * gated by --min-write-scaling F (the CI contention job passes 1.5 at
  * 30% writes; same single-core caveat as above).
@@ -82,31 +84,142 @@ splitList(const std::string &csv)
     return out;
 }
 
+/** One replay: a (policy, stripes, write fraction, workers) cell. */
 struct Cell
 {
     std::string policy;
-    HitPath path = HitPath::Locked;
-    unsigned workers = 0;
-    double wallSec = 0.0;
-    std::uint64_t hits = 0;
-    double hitsPerSec = 0.0;
-    ServeTotals totals;
-};
-
-/** One measurement of the write sweep: a (policy, shard config,
- *  write fraction, workers) replay, scored in whole ops/s because
- *  writes never hit. */
-struct WriteCell
-{
-    std::string policy;
-    std::string config; // "locked" or "striped"
+    std::string config; // "single" (1 stripe) or "striped"
     unsigned stripes = 1;
     double writeFrac = 0.0;
     unsigned workers = 0;
     double wallSec = 0.0;
-    double opsPerSec = 0.0;
+    /** Hits/s on the read sweep; whole ops/s on the write sweep,
+     *  where writes never hit. */
+    double perSec = 0.0;
     ServeTotals totals;
 };
+
+/** Max workers over the first worker count, for one row of cells. */
+struct Scaling
+{
+    std::string label;
+    double baseline = 0.0;
+    double peak = 0.0;
+    double ratio = 0.0;
+};
+
+/** Replay the Zipfian stream under --affinity free: every worker
+ *  contends on every shard. */
+Cell
+runCell(const CliArgs &args, PolicyKind kind, bool striped,
+        unsigned stripes, double write_frac, unsigned workers,
+        std::uint64_t ops, std::uint64_t keys)
+{
+    ServeConfig serve_config;
+    serve_config.shards = 4;
+    serve_config.shardBytes = 256 * 1024;
+    serve_config.policy = kind;
+    serve_config.policyParams.seed = args.seed(7);
+    serve_config.stripes = striped ? stripes : 1;
+
+    SyntheticBackendConfig backend_config;
+    backend_config.seed = args.seed(7);
+
+    HarnessConfig harness;
+    harness.ops = ops;
+    harness.workers = workers;
+    harness.seed = args.seed(7);
+    harness.shardAffinity = false; // real contention
+    harness.mix.numKeys = keys;
+    harness.mix.writeFraction = write_frac;
+
+    SyntheticBackend backend(backend_config);
+    CacheService service(serve_config, backend);
+    const HarnessResult result = runLoad(service, harness);
+    service.checkInvariants();
+
+    Cell cell;
+    cell.policy = service.policyName();
+    cell.config = striped ? "striped" : "single";
+    cell.stripes = service.numStripes();
+    cell.writeFrac = write_frac;
+    cell.workers = workers;
+    cell.wallSec = result.wallSec;
+    const double scored = static_cast<double>(
+        write_frac > 0.0 ? ops : result.totals.hits);
+    cell.perSec = result.wallSec > 0.0 ? scored / result.wallSec : 0.0;
+    cell.totals = result.totals;
+    return cell;
+}
+
+/**
+ * Print @p cells as a table with one row per @p row_len consecutive
+ * cells (the worker sweep), labelled by @p label; return each row's
+ * scaling -- its last cell over its first.
+ */
+template <typename Label>
+std::vector<Scaling>
+reportSweep(const std::string &title, const std::vector<Cell> &cells,
+            const std::vector<unsigned> &worker_list, Label label)
+{
+    TextTable table(title);
+    std::vector<std::string> header = {"Policy / config"};
+    for (const unsigned w : worker_list)
+        header.push_back("w=" + std::to_string(w));
+    table.setHeader(header);
+    std::vector<Scaling> scalings;
+    for (std::size_t row = 0; row < cells.size();
+         row += worker_list.size()) {
+        std::vector<std::string> out = {label(cells[row])};
+        for (std::size_t i = 0; i < worker_list.size(); ++i)
+            out.push_back(
+                TextTable::num(cells[row + i].perSec / 1e6, 2));
+        table.addRow(out);
+        Scaling s;
+        s.label = out.front();
+        s.baseline = cells[row].perSec;
+        s.peak = cells[row + worker_list.size() - 1].perSec;
+        s.ratio = s.baseline > 0.0 ? s.peak / s.baseline : 0.0;
+        scalings.push_back(s);
+    }
+    table.print(std::cout);
+    return scalings;
+}
+
+void
+printScalings(const std::string &title, const std::string &base,
+              const std::string &peak,
+              const std::vector<Scaling> &scalings)
+{
+    TextTable summary(title);
+    summary.setHeader({"Policy / config", base + " (M/s)",
+                       peak + " (M/s)", "scaling (x)"});
+    for (const Scaling &s : scalings)
+        summary.addRow({s.label, TextTable::num(s.baseline / 1e6, 2),
+                        TextTable::num(s.peak / 1e6, 2),
+                        TextTable::num(s.ratio, 2)});
+    summary.print(std::cout);
+}
+
+/** @return false (after saying so) when any scaling is below @p min. */
+bool
+passesGate(const char *what, const std::vector<Scaling> &scalings,
+           double min)
+{
+    bool passed = true;
+    for (const Scaling &s : scalings) {
+        if (s.ratio < min) {
+            std::cerr << "### FAIL: " << s.label << " " << what << " "
+                      << TextTable::num(s.ratio, 2) << "x < "
+                      << TextTable::num(min, 2) << "x required\n";
+            passed = false;
+        }
+    }
+    if (passed)
+        std::cout << "### " << what << " gate passed (>= "
+                  << TextTable::num(min, 2) << "x on every policy)\n";
+    return passed;
+}
 
 } // namespace
 
@@ -119,7 +232,7 @@ main(int argc, char **argv)
          "write-fracs", "stripes", "min-write-scaling"});
     const WorkloadScale scale = bench::scaleFrom(args);
     bench::banner("Serving mode: hit-path contention scaling "
-                  "(locked vs seqlock, --affinity free)",
+                  "(--affinity free)",
                   scale);
     std::cout << "### tag scan ISA: " << simd::tagScanIsa() << "\n\n";
 
@@ -186,284 +299,103 @@ main(int argc, char **argv)
     }
 
     std::vector<Cell> cells;
-    for (const PolicyKind kind : policies) {
-        for (const HitPath path :
-             {HitPath::Locked, HitPath::Seqlock}) {
-            for (const unsigned workers : worker_list) {
-                ServeConfig serve_config;
-                serve_config.shards = 4;
-                serve_config.shardBytes = 256 * 1024;
-                serve_config.policy = kind;
-                serve_config.policyParams.seed = args.seed(7);
-                serve_config.hitPath = path;
-
-                SyntheticBackendConfig backend_config;
-                backend_config.seed = args.seed(7);
-
-                HarnessConfig harness;
-                harness.ops = ops;
-                harness.workers = workers;
-                harness.seed = args.seed(7);
-                harness.shardAffinity = false; // real contention
-                harness.mix.numKeys = keys;
-                harness.mix.writeFraction = 0.0;
-
-                SyntheticBackend backend(backend_config);
-                CacheService service(serve_config, backend);
-                const HarnessResult result = runLoad(service, harness);
-                service.checkInvariants();
-
-                Cell cell;
-                cell.policy = service.policyName();
-                cell.path = path;
-                cell.workers = workers;
-                cell.wallSec = result.wallSec;
-                cell.hits = result.totals.hits;
-                cell.hitsPerSec =
-                    result.wallSec > 0.0
-                        ? static_cast<double>(result.totals.hits) /
-                              result.wallSec
-                        : 0.0;
-                cell.totals = result.totals;
-                cells.push_back(cell);
-            }
-        }
-    }
-
-    TextTable table("hit throughput (M hits/s) by policy, hit path, "
-                    "workers");
-    std::vector<std::string> header = {"Policy / path"};
-    for (const unsigned w : worker_list)
-        header.push_back("w=" + std::to_string(w));
-    table.setHeader(header);
-    for (std::size_t row = 0; row < cells.size();
-         row += worker_list.size()) {
-        std::vector<std::string> out = {
-            cells[row].policy + " / " + hitPathName(cells[row].path)};
-        for (std::size_t i = 0; i < worker_list.size(); ++i)
-            out.push_back(TextTable::num(
-                cells[row + i].hitsPerSec / 1e6, 2));
-        table.addRow(out);
-    }
-    table.print(std::cout);
-
-    // Scaling summary: seqlock at max workers over the locked
-    // single-worker baseline, per policy.
-    struct Scaling
-    {
-        std::string policy;
-        double baselineHps = 0.0;
-        double seqlockHps = 0.0;
-        double ratio = 0.0;
-    };
-    std::vector<Scaling> scalings;
-    const std::size_t per_policy = 2 * worker_list.size();
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-        const Cell &baseline = cells[p * per_policy]; // locked, first w
-        const Cell &peak =
-            cells[p * per_policy + per_policy - 1]; // seqlock, max w
-        Scaling s;
-        s.policy = baseline.policy;
-        s.baselineHps = baseline.hitsPerSec;
-        s.seqlockHps = peak.hitsPerSec;
-        s.ratio = baseline.hitsPerSec > 0.0
-                      ? peak.hitsPerSec / baseline.hitsPerSec
-                      : 0.0;
-        scalings.push_back(s);
-    }
-
-    TextTable summary("scaling: seqlock@w=" +
-                      std::to_string(worker_list.back()) +
-                      " / locked@w=" +
-                      std::to_string(worker_list.front()));
-    summary.setHeader({"Policy", "locked (M/s)", "seqlock (M/s)",
-                       "scaling (x)"});
-    for (const Scaling &s : scalings)
-        summary.addRow({s.policy,
-                        TextTable::num(s.baselineHps / 1e6, 2),
-                        TextTable::num(s.seqlockHps / 1e6, 2),
-                        TextTable::num(s.ratio, 2)});
-    summary.print(std::cout);
+    for (const PolicyKind kind : policies)
+        for (const unsigned workers : worker_list)
+            cells.push_back(
+                runCell(args, kind, false, 1, 0.0, workers, ops, keys));
+    const std::vector<Scaling> scalings = reportSweep(
+        "hit throughput (M hits/s) by policy, workers", cells,
+        worker_list, [](const Cell &c) { return c.policy; });
+    const std::string first_w =
+        "w=" + std::to_string(worker_list.front());
+    const std::string max_w = "w=" + std::to_string(worker_list.back());
+    printScalings("scaling: " + max_w + " / " + first_w, first_w, max_w,
+                  scalings);
 
     // ---- Write sweep: single-mutex shard vs striped shard --------
-    // Writes always take the stripe lock, so the locked config (one
-    // stripe, locked hit path) is the PR 6 shard verbatim and the
-    // striped config is what this bench exists to defend.
-    struct WriteSpec
-    {
-        const char *name;
-        HitPath path;
-        unsigned stripes;
-    };
-    const WriteSpec write_specs[2] = {
-        {"locked", HitPath::Locked, 1},
-        {"striped", HitPath::Seqlock, striped_stripes},
-    };
-
-    std::vector<WriteCell> write_cells;
+    // Writes always take the stripe lock, so the single config (one
+    // stripe) serializes each shard and the striped config is what
+    // this bench exists to defend.
+    std::vector<Cell> write_cells;
     for (const PolicyKind kind : policies) {
         for (const double frac : write_fracs) {
-            for (const WriteSpec &spec : write_specs) {
-                for (const unsigned workers : worker_list) {
-                    ServeConfig serve_config;
-                    serve_config.shards = 4;
-                    serve_config.shardBytes = 256 * 1024;
-                    serve_config.policy = kind;
-                    serve_config.policyParams.seed = args.seed(7);
-                    serve_config.hitPath = spec.path;
-                    serve_config.stripes = spec.stripes;
-
-                    SyntheticBackendConfig backend_config;
-                    backend_config.seed = args.seed(7);
-
-                    HarnessConfig harness;
-                    harness.ops = ops;
-                    harness.workers = workers;
-                    harness.seed = args.seed(7);
-                    harness.shardAffinity = false; // real contention
-                    harness.mix.numKeys = keys;
-                    harness.mix.writeFraction = frac;
-
-                    SyntheticBackend backend(backend_config);
-                    CacheService service(serve_config, backend);
-                    const HarnessResult result =
-                        runLoad(service, harness);
-                    service.checkInvariants();
-
-                    WriteCell cell;
-                    cell.policy = service.policyName();
-                    cell.config = spec.name;
-                    cell.stripes = service.numStripes();
-                    cell.writeFrac = frac;
-                    cell.workers = workers;
-                    cell.wallSec = result.wallSec;
-                    cell.opsPerSec =
-                        result.wallSec > 0.0
-                            ? static_cast<double>(ops) /
-                                  result.wallSec
-                            : 0.0;
-                    cell.totals = result.totals;
-                    write_cells.push_back(cell);
-                }
+            for (const bool striped : {false, true}) {
+                for (const unsigned workers : worker_list)
+                    write_cells.push_back(
+                        runCell(args, kind, striped, striped_stripes,
+                                frac, workers, ops, keys));
             }
         }
     }
-
     const unsigned resolved_stripes =
         write_cells[worker_list.size()].stripes; // first striped cell
-    TextTable wtable("write-mix throughput (M ops/s): locked "
-                     "(1 stripe) vs striped (" +
-                     std::to_string(resolved_stripes) + " stripes)");
-    std::vector<std::string> wheader = {"Policy / config / wf"};
-    for (const unsigned w : worker_list)
-        wheader.push_back("w=" + std::to_string(w));
-    wtable.setHeader(wheader);
-    for (std::size_t row = 0; row < write_cells.size();
-         row += worker_list.size()) {
-        const WriteCell &c = write_cells[row];
-        std::vector<std::string> out = {
-            c.policy + " / " + c.config + " / wf=" +
-            TextTable::num(c.writeFrac, 2)};
-        for (std::size_t i = 0; i < worker_list.size(); ++i)
-            out.push_back(TextTable::num(
-                write_cells[row + i].opsPerSec / 1e6, 2));
-        wtable.addRow(out);
+    std::vector<Scaling> write_rows = reportSweep(
+        "write-mix throughput (M ops/s): single (1 stripe) vs striped (" +
+            std::to_string(resolved_stripes) + " stripes)",
+        write_cells, worker_list, [](const Cell &c) {
+            return c.policy + " / " + c.config + " / wf=" +
+                   TextTable::num(c.writeFrac, 2);
+        });
+    // Write scaling: striped at max workers over single at the first
+    // worker count, per policy and write fraction (rows alternate
+    // single, striped).
+    std::vector<Scaling> write_scalings;
+    for (std::size_t row = 0; row + 1 < write_rows.size(); row += 2) {
+        Scaling s;
+        const Cell &single = write_cells[row * worker_list.size()];
+        s.label = single.policy + "@" + TextTable::num(single.writeFrac, 2);
+        s.baseline = write_rows[row].baseline;
+        s.peak = write_rows[row + 1].peak;
+        s.ratio = s.baseline > 0.0 ? s.peak / s.baseline : 0.0;
+        write_scalings.push_back(s);
     }
-    wtable.print(std::cout);
-
-    // Write scaling: striped at max workers over the locked
-    // single-worker baseline, per policy and write fraction.
-    struct WriteScaling
-    {
-        std::string policy;
-        double writeFrac = 0.0;
-        double lockedOps = 0.0;
-        double stripedOps = 0.0;
-        double ratio = 0.0;
-    };
-    std::vector<WriteScaling> write_scalings;
-    const std::size_t per_frac = 2 * worker_list.size();
-    const std::size_t per_policy_w = write_fracs.size() * per_frac;
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-        for (std::size_t f = 0; f < write_fracs.size(); ++f) {
-            const std::size_t base = p * per_policy_w + f * per_frac;
-            const WriteCell &locked = write_cells[base];
-            const WriteCell &striped =
-                write_cells[base + per_frac - 1];
-            WriteScaling s;
-            s.policy = locked.policy;
-            s.writeFrac = locked.writeFrac;
-            s.lockedOps = locked.opsPerSec;
-            s.stripedOps = striped.opsPerSec;
-            s.ratio = locked.opsPerSec > 0.0
-                          ? striped.opsPerSec / locked.opsPerSec
-                          : 0.0;
-            write_scalings.push_back(s);
-        }
-    }
-
-    TextTable wsummary("write scaling: striped@w=" +
-                       std::to_string(worker_list.back()) +
-                       " / locked@w=" +
-                       std::to_string(worker_list.front()));
-    wsummary.setHeader({"Policy", "writeFrac", "locked (M/s)",
-                        "striped (M/s)", "scaling (x)"});
-    for (const WriteScaling &s : write_scalings)
-        wsummary.addRow({s.policy, TextTable::num(s.writeFrac, 2),
-                         TextTable::num(s.lockedOps / 1e6, 2),
-                         TextTable::num(s.stripedOps / 1e6, 2),
-                         TextTable::num(s.ratio, 2)});
-    wsummary.print(std::cout);
+    printScalings("write scaling: striped@" + max_w + " / single@" +
+                      first_w,
+                  "single", "striped", write_scalings);
 
     const std::string json_path =
         args.has("json") ? args.jsonPath() : "BENCH_contention.json";
     std::ofstream os(json_path);
     if (os) {
+        const auto write_cells_json = [&](const std::vector<Cell> &list) {
+            for (std::size_t i = 0; i < list.size(); ++i) {
+                const Cell &c = list[i];
+                os << "    {\"policy\": \"" << c.policy
+                   << "\", \"config\": \"" << c.config
+                   << "\", \"stripes\": " << c.stripes
+                   << ", \"writeFrac\": " << c.writeFrac
+                   << ", \"workers\": " << c.workers
+                   << ", \"wallSec\": " << c.wallSec
+                   << ", \"perSec\": " << c.perSec
+                   << ", \"hits\": " << c.totals.hits
+                   << ", \"seqlockHits\": " << c.totals.seqlockHits
+                   << ", \"seqlockRetries\": " << c.totals.seqlockRetries
+                   << ", \"lockedFallbacks\": "
+                   << c.totals.lockedFallbacks
+                   << ", \"logFullFallbacks\": "
+                   << c.totals.logFullFallbacks
+                   << ", \"coalescedMisses\": "
+                   << c.totals.coalescedMisses << "}"
+                   << (i + 1 < list.size() ? ",\n" : "\n");
+            }
+        };
+        const auto write_scalings_json =
+            [&](const std::vector<Scaling> &list) {
+                for (std::size_t i = 0; i < list.size(); ++i)
+                    os << "\"" << list[i].label << "\": " << list[i].ratio
+                       << (i + 1 < list.size() ? ", " : "");
+            };
         os << "{\n  \"ops\": " << ops << ",\n  \"keys\": " << keys
            << ",\n  \"tagScanIsa\": \"" << simd::tagScanIsa()
            << "\",\n  \"cells\": [\n";
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const Cell &c = cells[i];
-            os << "    {\"policy\": \"" << c.policy
-               << "\", \"hitpath\": \"" << hitPathName(c.path)
-               << "\", \"workers\": " << c.workers
-               << ", \"wallSec\": " << c.wallSec
-               << ", \"hits\": " << c.hits
-               << ", \"hitsPerSec\": " << c.hitsPerSec
-               << ", \"seqlockHits\": " << c.totals.seqlockHits
-               << ", \"seqlockRetries\": " << c.totals.seqlockRetries
-               << ", \"lockedFallbacks\": " << c.totals.lockedFallbacks
-               << ", \"coalescedMisses\": " << c.totals.coalescedMisses
-               << "}" << (i + 1 < cells.size() ? ",\n" : "\n");
-        }
+        write_cells_json(cells);
         os << "  ],\n  \"scaling\": {";
-        for (std::size_t i = 0; i < scalings.size(); ++i)
-            os << "\"" << scalings[i].policy
-               << "\": " << scalings[i].ratio
-               << (i + 1 < scalings.size() ? ", " : "");
+        write_scalings_json(scalings);
         os << "},\n  \"stripes\": " << resolved_stripes
            << ",\n  \"writeCells\": [\n";
-        for (std::size_t i = 0; i < write_cells.size(); ++i) {
-            const WriteCell &c = write_cells[i];
-            os << "    {\"policy\": \"" << c.policy
-               << "\", \"config\": \"" << c.config
-               << "\", \"stripes\": " << c.stripes
-               << ", \"writeFrac\": " << c.writeFrac
-               << ", \"workers\": " << c.workers
-               << ", \"wallSec\": " << c.wallSec
-               << ", \"opsPerSec\": " << c.opsPerSec
-               << ", \"lockedFallbacks\": " << c.totals.lockedFallbacks
-               << ", \"logFullFallbacks\": "
-               << c.totals.logFullFallbacks
-               << ", \"coalescedMisses\": " << c.totals.coalescedMisses
-               << "}" << (i + 1 < write_cells.size() ? ",\n" : "\n");
-        }
+        write_cells_json(write_cells);
         os << "  ],\n  \"writeScaling\": {";
-        for (std::size_t i = 0; i < write_scalings.size(); ++i)
-            os << "\"" << write_scalings[i].policy << "@"
-               << TextTable::num(write_scalings[i].writeFrac, 2)
-               << "\": " << write_scalings[i].ratio
-               << (i + 1 < write_scalings.size() ? ", " : "");
+        write_scalings_json(write_scalings);
         os << "},\n  \"minScaling\": " << min_scaling
            << ",\n  \"minWriteScaling\": " << min_write_scaling
            << "\n}\n";
@@ -473,39 +405,11 @@ main(int argc, char **argv)
     }
 
     bool failed = false;
-    if (min_scaling > 0.0) {
-        for (const Scaling &s : scalings) {
-            if (s.ratio < min_scaling) {
-                std::cerr << "### FAIL: " << s.policy << " scaling "
-                          << TextTable::num(s.ratio, 2) << "x < "
-                          << TextTable::num(min_scaling, 2)
-                          << "x required\n";
-                failed = true;
-            }
-        }
-        if (!failed)
-            std::cout << "### scaling gate passed (>= "
-                      << TextTable::num(min_scaling, 2)
-                      << "x on every policy)\n";
-    }
-    if (min_write_scaling > 0.0) {
-        bool write_failed = false;
-        for (const WriteScaling &s : write_scalings) {
-            if (s.ratio < min_write_scaling) {
-                std::cerr << "### FAIL: " << s.policy
-                          << " write scaling at wf="
-                          << TextTable::num(s.writeFrac, 2) << " "
-                          << TextTable::num(s.ratio, 2) << "x < "
-                          << TextTable::num(min_write_scaling, 2)
-                          << "x required\n";
-                write_failed = true;
-            }
-        }
-        if (!write_failed)
-            std::cout << "### write-scaling gate passed (>= "
-                      << TextTable::num(min_write_scaling, 2)
-                      << "x on every policy)\n";
-        failed = failed || write_failed;
-    }
+    if (min_scaling > 0.0)
+        failed = !passesGate("scaling", scalings, min_scaling);
+    if (min_write_scaling > 0.0)
+        failed = !passesGate("write-scaling", write_scalings,
+                             min_write_scaling) ||
+                 failed;
     return failed ? 1 : 0;
 }

@@ -66,31 +66,6 @@ isTimeoutFailure(const std::exception_ptr &error)
 
 } // namespace
 
-std::optional<HitPath>
-parseHitPath(const std::string &name)
-{
-    if (name == "locked")
-        return HitPath::Locked;
-    if (name == "seqlock")
-        return HitPath::Seqlock;
-    return std::nullopt;
-}
-
-HitPath
-requireHitPath(const std::string &name)
-{
-    if (auto path = parseHitPath(name))
-        return *path;
-    throw ConfigError("unknown hitpath '" + name +
-                      "' (valid: locked seqlock)");
-}
-
-const char *
-hitPathName(HitPath path)
-{
-    return path == HitPath::Locked ? "locked" : "seqlock";
-}
-
 unsigned
 requireStripes(const std::string &text)
 {
@@ -131,7 +106,6 @@ ServeConfig::fromArgs(const CliArgs &args)
         args.getUInt("block-bytes", config.blockBytes));
     config.ewmaAlpha = args.getDouble("ewma-alpha", config.ewmaAlpha);
     config.policyParams.seed = args.seed(1);
-    config.hitPath = requireHitPath(args.get("hitpath", "locked"));
     config.stripes = requireStripes(args.get("stripes", "auto"));
     config.inflightWaitMs =
         args.getDouble("inflight-wait-ms", config.inflightWaitMs);
@@ -279,27 +253,19 @@ CacheService::tryOptimisticGet(Stripe &stripe, std::uint32_t set,
                                Addr tag, Addr key)
 {
     for (int attempt = 0; attempt < kOptimisticRetries; ++attempt) {
+        // A writer inside a write section (odd sequence) or one that
+        // entered since (failed validation) voids the read: retry.
         const std::uint64_t begin = stripe.seqlock.readBegin();
-        if (begin & 1) {
-            // A writer is inside a write section; re-snapshot.
-            stripe.seqlockRetries.fetch_add(
-                1, std::memory_order_relaxed);
+        const int way =
+            begin & 1 ? kInvalidWay : stripe.model.probeConcurrent(set, tag);
+        const std::uint64_t value =
+            way == kInvalidWay ? 0 : stripe.loadValue(set, way);
+        if ((begin & 1) || !stripe.seqlock.readValidate(begin)) {
+            stripe.seqlockRetries.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
-        const int way = stripe.model.probeConcurrent(set, tag);
-        if (way == kInvalidWay) {
-            if (stripe.seqlock.readValidate(begin))
-                return std::nullopt; // genuine miss
-            stripe.seqlockRetries.fetch_add(
-                1, std::memory_order_relaxed);
-            continue;
-        }
-        const std::uint64_t value = stripe.loadValue(set, way);
-        if (!stripe.seqlock.readValidate(begin)) {
-            stripe.seqlockRetries.fetch_add(
-                1, std::memory_order_relaxed);
-            continue;
-        }
+        if (way == kInvalidWay)
+            return std::nullopt; // genuine miss
         // Hit committed.  Defer the recency promotion; a full log
         // means the locked path must drain first, so re-serve the op
         // there (it will count as an ordinary locked hit).  Counted
@@ -325,25 +291,94 @@ CacheService::tryOptimisticGet(Stripe &stripe, std::uint32_t set,
 ServeOpResult
 CacheService::get(Addr key)
 {
-    if (recorder_)
-        recorder_(key, 0);
-    Stripe &stripe = stripeFor(key);
-    const std::uint32_t set = stripe.setOf(key);
-    const Addr tag = stripe.tagOf(key);
-
-    if (config_.hitPath == HitPath::Seqlock) {
-        if (auto result = tryOptimisticGet(stripe, set, tag, key))
-            return *result;
+    GetStart start = beginGet(key);
+    if (start.kind == GetStart::Join) {
+        {
+            CSR_TRACE_SPAN("serve", "inflight.wait");
+            // Bounded: a wedged leader must not park this thread (or
+            // the network connection behind it) forever.
+            if (!awaitFetchFor(*start.flight, inflightWaitNs_))
+                throw TimeoutError(
+                    "coalesced miss on key " + std::to_string(key) +
+                    " waited " +
+                    std::to_string(config_.inflightWaitMs) +
+                    " ms for its single-flight leader's backend "
+                    "fetch (raise --inflight-wait-ms, or find the "
+                    "wedged backend)");
+        }
+        start.outcome = finishJoin(start);
+    } else if (start.kind == GetStart::Lead) {
+        // Fetch with the stripe UNLOCKED: other keys keep being
+        // served while this one pays the backend round trip.
+        BackendResult fetched;
+        std::exception_ptr error;
+        try {
+            CSR_TRACE_SPAN("serve", "backend.fetch");
+            fetched = backend_.fetch(key, start.salt);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        start.outcome = finishLead(start, fetched, std::move(error));
     }
-    return lockedGet(stripe, set, tag, key);
+    if (start.outcome.error)
+        std::rethrow_exception(start.outcome.error);
+    return start.outcome.result;
 }
 
-ServeOpResult
-CacheService::lockedGet(Stripe &stripe, std::uint32_t set, Addr tag,
-                        Addr key)
+void
+CacheService::getAsync(Addr key, GetCallback done)
 {
-    std::unique_lock<std::mutex> lock(stripe.mutex, std::defer_lock);
-    {
+    GetStart start = beginGet(key);
+    if (start.kind == GetStart::Join) {
+        // Join the flight without parking: the completion runs on
+        // whichever thread publishes the leader's result (or inline
+        // when it already has).
+        InflightFetch &flight = *start.flight;
+        subscribeFetch(flight, [this, start = std::move(start),
+                                done = std::move(done)] {
+            const GetOutcome outcome = finishJoin(start);
+            done(outcome.result, outcome.error);
+        });
+    } else if (start.kind == GetStart::Lead) {
+        // Hand the fetch to the backend and finish whenever and
+        // wherever it completes: the calling thread never blocks.
+        const std::uint64_t salt = start.salt;
+        backend_.fetchAsync(
+            key, salt,
+            [this, start = std::move(start), done = std::move(done)](
+                const BackendResult &fetched, std::exception_ptr error) {
+                const GetOutcome outcome =
+                    finishLead(start, fetched, std::move(error));
+                done(outcome.result, outcome.error);
+            });
+    } else {
+        done(start.outcome.result, start.outcome.error);
+    }
+}
+
+CacheService::GetStart
+CacheService::beginGet(Addr key)
+{
+    if (recorder_)
+        recorder_(key, 0);
+    GetStart start;
+    start.stripe = &stripeFor(key);
+    Stripe &stripe = *start.stripe;
+    const std::uint32_t set = start.set = stripe.setOf(key);
+    const Addr tag = start.tag = stripe.tagOf(key);
+    start.key = key;
+
+    // The hit path follows from what the stripe shows, not from a
+    // knob.  A free mutex is taken: it costs what a lock-free read
+    // does, and an uncontended run stays the deterministic reference.
+    // A busy one is read around first, and waited on only when that
+    // read cannot serve the op.
+    std::unique_lock<std::mutex> lock(stripe.mutex, std::try_to_lock);
+    if (!lock.owns_lock()) {
+        if (auto result = tryOptimisticGet(stripe, set, tag, key)) {
+            start.outcome.result = *result;
+            return start;
+        }
         CSR_TRACE_SPAN("serve", "stripe.lock_wait");
         lock.lock();
     }
@@ -353,295 +388,141 @@ CacheService::lockedGet(Stripe &stripe, std::uint32_t set, Addr tag,
     const int way = stripe.model.access(set, tag);
     if (way != kInvalidWay) {
         stripe.hits.fetch_add(1, std::memory_order_relaxed);
-        ServeOpResult result;
-        result.hit = true;
-        result.value = stripe.loadValue(set, way);
-        return result;
+        start.outcome.result.hit = true;
+        start.outcome.result.value = stripe.loadValue(set, way);
+        return start;
     }
 
     stripe.misses.fetch_add(1, std::memory_order_relaxed);
-    CircuitBreaker &breaker = *shards_[shardOf(key)]->breaker;
-    auto [flight, leader] = stripe.inflight.claim(key);
-
-    if (leader && breaker.admit(breakerNowNs()) ==
-                      CircuitBreaker::Admit::FailFast) {
-        // The shard's breaker is open and this miss would have
-        // started a fresh fetch: fail fast (the whole point -- no
-        // thread parks on a backend that keeps failing).  A resident
-        // cost estimate with a remembered value may be served stale
-        // instead.  The just-claimed flight has no subscribers yet
-        // (we still hold the stripe mutex), so erasing it is enough.
-        stripe.inflight.erase(key);
-        if (config_.breaker.staleWhileBroken) {
-            const auto it = stripe.keys.find(key);
-            if (it != stripe.keys.end() && it->second.hasValue) {
-                stripe.staleServes.fetch_add(
-                    1, std::memory_order_relaxed);
-                ServeOpResult result;
-                result.hit = false;
-                result.value = it->second.lastValue;
-                return result;
-            }
-        }
-        throw CircuitOpenError(
-            "circuit open on serve shard " +
-            std::to_string(shardOf(key)) +
-            ": backend fetches keep failing, refusing key " +
-            std::to_string(key) + " without a fetch");
-    }
-
+    bool leader = false;
+    std::tie(start.flight, leader) = stripe.inflight.claim(key);
     if (!leader) {
-        // Another thread's fetch for this key is in flight: park on
-        // it instead of hammering the backend (single-flight), then
-        // fold ITS measured latency into this requester's view of
-        // the key -- the cost signal sees one observation per miss,
-        // the backend one call per stampede.
+        // Another get's fetch for this key is in flight: wait on it
+        // instead of hammering the backend (single-flight), then fold
+        // ITS measured latency into this requester's view of the key
+        // -- the cost signal sees one observation per miss, the
+        // backend one call per stampede.
         stripe.coalescedMisses.fetch_add(1,
                                          std::memory_order_relaxed);
         CSR_TRACE_INSTANT("serve", "coalesced_miss");
-        lock.unlock();
-        {
-            CSR_TRACE_SPAN("serve", "inflight.wait");
-            // Bounded: a wedged leader must not park this thread (or
-            // the network connection behind it) forever.  Rethrows a
-            // failed leader's error.
-            if (!awaitFetchFor(*flight, inflightWaitNs_))
-                throw TimeoutError(
-                    "coalesced miss on key " + std::to_string(key) +
-                    " waited " +
-                    std::to_string(config_.inflightWaitMs) +
-                    " ms for its single-flight leader's backend "
-                    "fetch (raise --inflight-wait-ms, or find the "
-                    "wedged backend)");
-        }
-        absorbLeaderSample(stripe, set, tag, key, flight->latencyNs);
-        ServeOpResult result;
-        result.hit = false;
-        result.value = flight->value;
-        result.backendNs = flight->latencyNs;
-        return result;
+        start.kind = GetStart::Join;
+        return start;
     }
 
-    // Leader: read the fetch salt under the lock, fetch with the
-    // stripe UNLOCKED (other keys keep being served), then re-acquire
-    // to install the block and publish to the waiters.
-    const std::uint64_t salt = stripe.keys[key].samples;
-    lock.unlock();
-    BackendResult fetched;
-    try {
-        CSR_TRACE_SPAN("serve", "backend.fetch");
-        fetched = backend_.fetch(key, salt);
-    } catch (...) {
-        // Leader crash path: retire the flight BEFORE publishing the
-        // failure, so a retrying waiter elects a fresh leader instead
-        // of rejoining the dead entry, then wake every waiter with
-        // the exception rather than leaving them parked forever.
-        const std::exception_ptr error = std::current_exception();
-        breaker.onFailure(isTimeoutFailure(error), breakerNowNs());
-        lock.lock();
+    if (shards_[shardOf(key)]->breaker->admit(breakerNowNs()) ==
+        CircuitBreaker::Admit::FailFast) {
+        // The shard's breaker is open and this miss would have
+        // started a fresh fetch: fail fast (the whole point -- no
+        // thread parks on a backend that keeps failing).  A known
+        // value may be served stale instead.  The just-claimed flight
+        // has no waiters yet (we still hold the stripe mutex), so
+        // erasing it is enough.
         stripe.inflight.erase(key);
-        lock.unlock();
-        failFetch(*flight, error);
-        throw;
-    }
-    breaker.onSuccess(breakerNowNs());
-    installFetched(stripe, set, tag, key, fetched);
-    completeFetch(*flight, fetched.value, fetched.latencyNs);
-
-    ServeOpResult result;
-    result.hit = false;
-    result.value = fetched.value;
-    result.backendNs = fetched.latencyNs;
-    return result;
-}
-
-void
-CacheService::absorbLeaderSample(Stripe &stripe, std::uint32_t set,
-                                 Addr tag, Addr key, double latency_ns)
-{
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    stripe.drainAccessLog();
-    Stripe::KeyState &state = stripe.keys[key];
-    stripe.observe(state, latency_ns, config_.ewmaAlpha);
-    stripe.missCostNs += latency_ns;
-    const int resident = stripe.model.lookup(set, tag);
-    if (resident != kInvalidWay) {
-        SeqlockWriteGuard guard(stripe.seqlock);
-        stripe.model.updateCost(set, resident, state.ewmaNs);
-    }
-}
-
-void
-CacheService::installFetched(Stripe &stripe, std::uint32_t set,
-                             Addr tag, Addr key,
-                             const BackendResult &fetched)
-{
-    stripe.backendFetches.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    stripe.drainAccessLog();
-    Stripe::KeyState &state = stripe.keys[key];
-    stripe.observe(state, fetched.latencyNs, config_.ewmaAlpha);
-    state.lastValue = fetched.value;
-    state.hasValue = true;
-    stripe.missCostNs += fetched.latencyNs;
-
-    const int resident = stripe.model.lookup(set, tag);
-    if (resident != kInvalidWay) {
-        // A concurrent put write-allocated the key while we fetched;
-        // its value is newer than our read, so only refresh the cost.
-        SeqlockWriteGuard guard(stripe.seqlock);
-        stripe.model.updateCost(set, resident, state.ewmaNs);
-    } else {
-        SeqlockWriteGuard guard(stripe.seqlock);
-        const int filled = stripe.model.fillVictimOrFree(
-            set, tag, state.ewmaNs, 0, [&](int, Addr, std::uint32_t) {
-                stripe.evictions.fetch_add(1,
-                                           std::memory_order_relaxed);
-                CSR_TRACE_INSTANT("serve", "evict");
-            });
-        stripe.storeValue(set, filled, fetched.value);
-    }
-    stripe.inflight.erase(key);
-}
-
-void
-CacheService::getAsync(Addr key, GetCallback done)
-{
-    if (recorder_)
-        recorder_(key, 0);
-    Stripe &stripe = stripeFor(key);
-    const std::uint32_t set = stripe.setOf(key);
-    const Addr tag = stripe.tagOf(key);
-
-    if (config_.hitPath == HitPath::Seqlock) {
-        if (auto result = tryOptimisticGet(stripe, set, tag, key)) {
-            done(*result, nullptr);
-            return;
-        }
-    }
-
-    std::shared_ptr<InflightFetch> flight;
-    bool leader = false;
-    std::uint64_t salt = 0;
-    CircuitBreaker &breaker = *shards_[shardOf(key)]->breaker;
-    {
-        std::unique_lock<std::mutex> lock(stripe.mutex,
-                                          std::defer_lock);
-        {
-            CSR_TRACE_SPAN("serve", "stripe.lock_wait");
-            lock.lock();
-        }
-        stripe.drainAccessLog();
-        stripe.gets.fetch_add(1, std::memory_order_relaxed);
-
-        const int way = stripe.model.access(set, tag);
-        if (way != kInvalidWay) {
-            stripe.hits.fetch_add(1, std::memory_order_relaxed);
-            ServeOpResult result;
-            result.hit = true;
-            result.value = stripe.loadValue(set, way);
-            lock.unlock();
-            done(result, nullptr);
-            return;
-        }
-
-        stripe.misses.fetch_add(1, std::memory_order_relaxed);
-        std::tie(flight, leader) = stripe.inflight.claim(key);
-        if (leader) {
-            if (breaker.admit(breakerNowNs()) ==
-                CircuitBreaker::Admit::FailFast) {
-                // Same fail-fast protocol as lockedGet: retire the
-                // subscriber-less flight under the mutex, then
-                // complete -- stale value or CircuitOpenError --
-                // without ever touching the backend.
-                stripe.inflight.erase(key);
-                ServeOpResult stale;
-                bool haveStale = false;
-                if (config_.breaker.staleWhileBroken) {
-                    const auto it = stripe.keys.find(key);
-                    if (it != stripe.keys.end() &&
-                        it->second.hasValue) {
-                        stripe.staleServes.fetch_add(
-                            1, std::memory_order_relaxed);
-                        stale.hit = false;
-                        stale.value = it->second.lastValue;
-                        haveStale = true;
-                    }
-                }
-                lock.unlock();
-                if (haveStale)
-                    done(stale, nullptr);
-                else
-                    done(ServeOpResult{},
-                         std::make_exception_ptr(CircuitOpenError(
-                             "circuit open on serve shard " +
-                             std::to_string(shardOf(key)) +
-                             ": backend fetches keep failing, "
-                             "refusing key " + std::to_string(key) +
-                             " without a fetch")));
-                return;
-            }
-            salt = stripe.keys[key].samples;
+        start.flight.reset();
+        start.kind = GetStart::FailFast;
+        const auto it = stripe.keys.find(key);
+        if (config_.breaker.staleWhileBroken &&
+            it != stripe.keys.end() && it->second.hasValue) {
+            stripe.staleServes.fetch_add(1, std::memory_order_relaxed);
+            start.outcome.result.value = it->second.lastValue;
         } else {
-            stripe.coalescedMisses.fetch_add(
-                1, std::memory_order_relaxed);
-            CSR_TRACE_INSTANT("serve", "coalesced_miss");
+            start.outcome.error =
+                std::make_exception_ptr(CircuitOpenError(
+                    "circuit open on serve shard " +
+                    std::to_string(shardOf(key)) +
+                    ": backend fetches keep failing, refusing key " +
+                    std::to_string(key) + " without a fetch"));
+        }
+        return start;
+    }
+
+    // Leader: read the fetch salt under the lock; the caller fetches
+    // with the stripe unlocked, then finishLead re-acquires it.
+    start.kind = GetStart::Lead;
+    start.salt = stripe.keys[key].samples;
+    return start;
+}
+
+CacheService::GetOutcome
+CacheService::finishLead(const GetStart &start, const BackendResult &fetched,
+                         std::exception_ptr error)
+{
+    Stripe &stripe = *start.stripe;
+    CircuitBreaker &breaker = *shards_[shardOf(start.key)]->breaker;
+    if (error)
+        breaker.onFailure(isTimeoutFailure(error), breakerNowNs());
+    else
+        breaker.onSuccess(breakerNowNs());
+    {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        if (!error) {
+            stripe.backendFetches.fetch_add(1, std::memory_order_relaxed);
+            stripe.drainAccessLog();
+            Stripe::KeyState &state = stripe.keys[start.key];
+            stripe.observe(state, fetched.latencyNs, config_.ewmaAlpha);
+            state.lastValue = fetched.value;
+            state.hasValue = true;
+            stripe.missCostNs += fetched.latencyNs;
+
+            SeqlockWriteGuard guard(stripe.seqlock);
+            const int resident = stripe.model.lookup(start.set, start.tag);
+            if (resident != kInvalidWay) {
+                // A concurrent put write-allocated the key while we
+                // fetched; its value is newer than our read, so only
+                // refresh the cost.
+                stripe.model.updateCost(start.set, resident, state.ewmaNs);
+            } else {
+                const int filled = stripe.model.fillVictimOrFree(
+                    start.set, start.tag, state.ewmaNs, 0,
+                    [&](int, Addr, std::uint32_t) {
+                        stripe.evictions.fetch_add(
+                            1, std::memory_order_relaxed);
+                        CSR_TRACE_INSTANT("serve", "evict");
+                    });
+                stripe.storeValue(start.set, filled, fetched.value);
+            }
+        }
+        // Retire the flight BEFORE publishing, so after a leader crash
+        // a retrying waiter elects a fresh leader instead of rejoining
+        // the dead entry; the publish wakes every waiter either way.
+        stripe.inflight.erase(start.key);
+    }
+    publishFetch(*start.flight, fetched.value, fetched.latencyNs, error);
+    GetOutcome outcome;
+    if (error) {
+        outcome.error = std::move(error);
+    } else {
+        outcome.result.value = fetched.value;
+        outcome.result.backendNs = fetched.latencyNs;
+    }
+    return outcome;
+}
+
+CacheService::GetOutcome
+CacheService::finishJoin(const GetStart &start)
+{
+    const InflightFetch &flight = *start.flight;
+    GetOutcome outcome;
+    if (flight.error) {
+        outcome.error = flight.error;
+        return outcome;
+    }
+    Stripe &stripe = *start.stripe;
+    {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        stripe.drainAccessLog();
+        Stripe::KeyState &state = stripe.keys[start.key];
+        stripe.observe(state, flight.latencyNs, config_.ewmaAlpha);
+        stripe.missCostNs += flight.latencyNs;
+        const int resident = stripe.model.lookup(start.set, start.tag);
+        if (resident != kInvalidWay) {
+            SeqlockWriteGuard guard(stripe.seqlock);
+            stripe.model.updateCost(start.set, resident, state.ewmaNs);
         }
     }
-
-    if (!leader) {
-        // Join the flight without parking: the completion runs on
-        // whichever thread publishes the leader's result (or inline
-        // when it already has).
-        subscribeFetch(
-            *flight, [this, &stripe, set, tag, key, flight,
-                      done = std::move(done)] {
-                if (flight->error) {
-                    done(ServeOpResult{}, flight->error);
-                    return;
-                }
-                absorbLeaderSample(stripe, set, tag, key,
-                                   flight->latencyNs);
-                ServeOpResult result;
-                result.hit = false;
-                result.value = flight->value;
-                result.backendNs = flight->latencyNs;
-                done(result, nullptr);
-            });
-        return;
-    }
-
-    // Leader, asynchronously: hand the fetch to the backend and
-    // finish -- install + publish + completion -- whenever and
-    // wherever it completes.  The calling thread never blocks.
-    backend_.fetchAsync(
-        key, salt,
-        [this, &stripe, &breaker, set, tag, key, flight,
-         done = std::move(done)](const BackendResult &fetched,
-                                 std::exception_ptr error) {
-            if (error) {
-                // Same crash protocol as the sync leader: retire the
-                // flight first so retries elect a fresh leader, then
-                // publish the failure to every joiner.
-                breaker.onFailure(isTimeoutFailure(error),
-                                  breakerNowNs());
-                {
-                    std::lock_guard<std::mutex> lock(stripe.mutex);
-                    stripe.inflight.erase(key);
-                }
-                failFetch(*flight, error);
-                done(ServeOpResult{}, error);
-                return;
-            }
-            breaker.onSuccess(breakerNowNs());
-            installFetched(stripe, set, tag, key, fetched);
-            completeFetch(*flight, fetched.value, fetched.latencyNs);
-            ServeOpResult result;
-            result.hit = false;
-            result.value = fetched.value;
-            result.backendNs = fetched.latencyNs;
-            done(result, nullptr);
-        });
+    outcome.result.value = flight.value;
+    outcome.result.backendNs = flight.latencyNs;
+    return outcome;
 }
 
 bool
@@ -784,11 +665,11 @@ CacheService::failInflight(const std::string &why)
                 std::lock_guard<std::mutex> lock(stripe.mutex);
                 flights = stripe.inflight.takeAll();
             }
-            // Publish with the stripe mutex released (failFetch's
+            // Publish with the stripe mutex released (publishFetch's
             // contract); a late leader completion finds its entry
             // gone and completes the dead flight harmlessly.
             for (const auto &flight : flights) {
-                failFetch(*flight, error);
+                publishFetch(*flight, 0, 0.0, error);
                 ++failed;
             }
         }

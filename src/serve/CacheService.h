@@ -19,13 +19,14 @@
  *    of one shard proceed in parallel; `stripes = 1` reproduces the
  *    single-mutex shard bit for bit.
  *
- *  - Two hit paths.  HitPath::Locked serializes every op on the
- *    stripe mutex -- the deterministic golden reference (CI diffs its
- *    stdout across worker counts).  HitPath::Seqlock serves read hits
- *    with NO lock at all: an optimistic SIMD tag probe validated by a
- *    per-stripe sequence lock (serve/Seqlock.h), with recency
- *    promotion deferred through a lock-free access log drained by the
- *    next lock holder (serve/AccessLog.h).
+ *  - One hit path, picked by what the stripe shows.  A get whose
+ *    stripe mutex is free takes it (the deterministic reference: CI
+ *    diffs its stdout across worker counts).  A get that finds the
+ *    mutex busy first reads around it with NO lock: an optimistic SIMD
+ *    tag probe validated by a per-stripe sequence lock
+ *    (serve/Seqlock.h), with recency promotion deferred through a
+ *    lock-free access log drained by the next lock holder
+ *    (serve/AccessLog.h).  Only a miss or a failed read waits.
  *
  *  - Misses are single-flight (serve/InflightTable.h): concurrent
  *    misses on one key coalesce onto one backend fetch, performed
@@ -66,27 +67,9 @@ class MetricRegistry;
 namespace csr::serve
 {
 
+struct InflightFetch;
 struct Shard;
 struct Stripe;
-
-/** How read hits are served. */
-enum class HitPath
-{
-    /** Every op under the stripe mutex (deterministic reference). */
-    Locked,
-    /** Optimistic seqlock-validated hits; mutex only for writes,
-     *  misses, and fallback. */
-    Seqlock,
-};
-
-/** "locked" / "seqlock", or std::nullopt. */
-std::optional<HitPath> parseHitPath(const std::string &name);
-
-/** parseHitPath, but a parse failure throws ConfigError listing the
- *  accepted names (the requirePolicyKind pattern for --hitpath). */
-HitPath requireHitPath(const std::string &name);
-
-const char *hitPathName(HitPath path);
 
 /**
  * Parse a stripe-count argument: "auto" (or "0") means
@@ -121,7 +104,6 @@ struct ServeConfig
     PolicyParams policyParams;
     /** Weight of the newest latency sample in the per-key EWMA. */
     double ewmaAlpha = 0.25;
-    HitPath hitPath = HitPath::Locked;
     /** Per-stripe deferred-recency ring size (power of two). */
     std::size_t accessLogCapacity = 1024;
     /** Independently locked sub-shards per shard; a power of two no
@@ -141,8 +123,8 @@ struct ServeConfig
 
     /**
      * Read the service flags out of @p args: --policy --shards
-     * --shard-bytes --assoc --block-bytes --ewma-alpha --hitpath
-     * --stripes --inflight-wait-ms --breaker[-window/-rate/-timeouts/
+     * --shard-bytes --assoc --block-bytes --ewma-alpha --stripes
+     * --inflight-wait-ms --breaker[-window/-rate/-timeouts/
      * -backoff-ms/-backoff-max-ms] --stale-while-broken (and --seed
      * for the policy RNG + breaker jitter).  The result is
      * validate()d.  @throws ConfigError with the accepted values on
@@ -175,9 +157,9 @@ struct ServeOpResult
 };
 
 /**
- * Deterministic aggregate counters (everything here is a pure
- * function of the per-shard op sequences under the locked hit path
- * with shard affinity -- no wall-clock).
+ * Deterministic aggregate counters (everything above the concurrency
+ * block is a pure function of the per-shard op sequences under shard
+ * affinity -- no wall-clock).
  */
 struct ServeTotals
 {
@@ -197,8 +179,8 @@ struct ServeTotals
      *  stores pay the backend regardless of the policy). */
     double storeCostNs = 0.0;
 
-    // -- concurrency counters (all zero under HitPath::Locked except
-    //    backendFetches == misses) ------------------------------------
+    // -- concurrency counters (zero unless callers contend for a
+    //    stripe, except backendFetches == misses) ---------------------
     std::uint64_t seqlockHits = 0;      ///< hits served without the mutex
     std::uint64_t seqlockRetries = 0;   ///< optimistic reads discarded
     std::uint64_t lockedFallbacks = 0;  ///< retry budgets exhausted by writers
@@ -325,25 +307,57 @@ class CacheService
   private:
     Stripe &stripeFor(Addr key);
 
+    /** A get's answer: @p result, unless @p error is set -- what
+     *  get() throws and getAsync() hands its callback. */
+    struct GetOutcome
+    {
+        ServeOpResult result;
+        std::exception_ptr error;
+    };
+
+    /** What a get found under the stripe mutex, and what is left to
+     *  do once the mutex is released. */
+    struct GetStart
+    {
+        enum Kind
+        {
+            Hit,      ///< served; outcome is final
+            FailFast, ///< breaker open: outcome is stale or an error
+            Join,     ///< another get's fetch is in flight: wait on it
+            Lead,     ///< fetch with salt, then finishLead()
+        };
+        Kind kind = Hit;
+        Stripe *stripe = nullptr;
+        std::uint32_t set = 0;
+        Addr tag = 0;
+        Addr key = 0;
+        GetOutcome outcome;                    ///< Hit and FailFast
+        std::shared_ptr<InflightFetch> flight; ///< Join and Lead
+        std::uint64_t salt = 0;                ///< Lead
+    };
+
     /** Optimistic seqlock read; nullopt means take the locked path. */
     std::optional<ServeOpResult> tryOptimisticGet(Stripe &stripe,
                                                   std::uint32_t set,
                                                   Addr tag, Addr key);
 
-    ServeOpResult lockedGet(Stripe &stripe, std::uint32_t set,
-                            Addr tag, Addr key);
+    /** The whole get protocol up to the backend: capture hook, hit
+     *  path, miss accounting, single-flight claim, breaker fail-fast
+     *  and stale serve.  Returns with the stripe mutex released. */
+    GetStart beginGet(Addr key);
 
-    /** Waiter side: fold the leader's measured latency into this
-     *  requester's EWMA + the aggregate miss cost (takes the stripe
-     *  mutex). */
-    void absorbLeaderSample(Stripe &stripe, std::uint32_t set,
-                            Addr tag, Addr key, double latency_ns);
+    /** Leader side, with the fetch done (@p error set if it failed):
+     *  report to the breaker, then either install the block -- observe
+     *  the latency, fill or cost-refresh the line -- and publish it,
+     *  or retire the flight and publish the failure. */
+    GetOutcome finishLead(const GetStart &start,
+                          const BackendResult &fetched,
+                          std::exception_ptr error);
 
-    /** Leader side: install a successful fetch -- observe the
-     *  latency, fill or cost-refresh the line, retire the flight
-     *  (takes the stripe mutex). */
-    void installFetched(Stripe &stripe, std::uint32_t set, Addr tag,
-                        Addr key, const BackendResult &fetched);
+    /** Waiter side, with the leader's result published: pass on its
+     *  error, or fold its measured latency into this requester's EWMA
+     *  and the aggregate miss cost. */
+    GetOutcome finishJoin(const GetStart &start);
 
     ServeConfig config_;
     Backend &backend_;

@@ -57,70 +57,50 @@ struct InflightFetch
     std::uint64_t value = 0;
     double latencyNs = 0.0;
     /** Set instead of value/latencyNs when the leader's fetch threw;
-     *  awaitFetchFor rethrows it in every waiter, subscribers see it
-     *  through the published entry. */
+     *  every waiter, parked or subscribed, sees it on the published
+     *  entry. */
     std::exception_ptr error;
     /** Non-blocking waiters (subscribeFetch); drained exactly once by
      *  the completing thread, after done is set, with no lock held. */
     std::vector<std::function<void()>> subscribers;
 };
 
-/** Run-and-clear the subscriber list (completer-side helper). */
-inline void
-notifySubscribers(std::vector<std::function<void()>> subscribers)
-{
-    for (auto &fn : subscribers)
-        fn();
-}
-
 /**
- * Publish the leader's result and wake every waiter -- parked and
+ * Publish the leader's outcome -- @p value and @p latency_ns, or
+ * @p error when its fetch failed -- and wake every waiter, parked and
  * subscribed alike.  Called with the stripe mutex NOT held (the entry
- * has its own mutex).
+ * has its own mutex), after the leader has erased the entry from the
+ * table (so a later miss on the key elects a fresh leader rather than
+ * joining a finished flight).  Only the first publish counts: a late
+ * leader completing a flight the drain already failed changes nothing,
+ * so waiters may read the fields once they have seen `done`.
  */
 inline void
-completeFetch(InflightFetch &fetch, std::uint64_t value,
-              double latency_ns)
+publishFetch(InflightFetch &fetch, std::uint64_t value, double latency_ns,
+             std::exception_ptr error)
 {
     std::vector<std::function<void()>> subscribers;
     {
         std::lock_guard<std::mutex> lock(fetch.mutex);
+        if (fetch.done)
+            return;
         fetch.value = value;
         fetch.latencyNs = latency_ns;
-        fetch.done = true;
-        subscribers.swap(fetch.subscribers);
-    }
-    fetch.cv.notify_all();
-    notifySubscribers(std::move(subscribers));
-}
-
-/**
- * Publish the leader's *failure* and wake every waiter: parked ones
- * rethrow @p error out of awaitFetchFor, subscribers observe it on
- * the entry.  Called with the stripe mutex NOT held, after the leader
- * has already erased the entry from the table (so a later miss on the
- * key elects a fresh leader rather than joining the dead flight).
- */
-inline void
-failFetch(InflightFetch &fetch, std::exception_ptr error)
-{
-    std::vector<std::function<void()>> subscribers;
-    {
-        std::lock_guard<std::mutex> lock(fetch.mutex);
         fetch.error = std::move(error);
         fetch.done = true;
         subscribers.swap(fetch.subscribers);
     }
     fetch.cv.notify_all();
-    notifySubscribers(std::move(subscribers));
+    for (auto &fn : subscribers)
+        fn();
 }
 
 /**
  * Block until the leader publishes, for at most @p timeout_ns
- * (0 = unbounded, the historical behaviour).  Rethrows the leader's
- * exception if the fetch failed.  @return false when the wait timed
- * out with the fetch still in flight -- the entry is untouched, so
- * the leader can still complete it for everyone else; the caller
+ * (0 = unbounded, the historical behaviour), then inspect the
+ * entry's value/latencyNs/error fields.  @return false when the wait
+ * timed out with the fetch still in flight -- the entry is untouched,
+ * so the leader can still complete it for everyone else; the caller
  * decides how loudly to give up.  Stripe mutex must NOT be held.
  */
 inline bool
@@ -128,14 +108,12 @@ awaitFetchFor(InflightFetch &fetch, std::uint64_t timeout_ns)
 {
     std::unique_lock<std::mutex> lock(fetch.mutex);
     const auto ready = [&fetch] { return fetch.done; };
-    if (timeout_ns == 0)
+    if (timeout_ns == 0) {
         fetch.cv.wait(lock, ready);
-    else if (!fetch.cv.wait_for(
-                 lock, std::chrono::nanoseconds(timeout_ns), ready))
-        return false;
-    if (fetch.error)
-        std::rethrow_exception(fetch.error);
-    return true;
+        return true;
+    }
+    return fetch.cv.wait_for(lock, std::chrono::nanoseconds(timeout_ns),
+                             ready);
 }
 
 /**
@@ -145,7 +123,7 @@ awaitFetchFor(InflightFetch &fetch, std::uint64_t timeout_ns)
  * flight already completed.  The network miss path: the callback
  * re-enters the owning event loop instead of a thread parking.
  * Stripe mutex must NOT be held (callers registering under the stripe
- * mutex would lock-invert against completeFetch's callers).
+ * mutex would lock-invert against publishFetch's callers).
  */
 inline void
 subscribeFetch(InflightFetch &fetch, std::function<void()> fn)
@@ -189,10 +167,10 @@ class InflightTable
 
     /**
      * Drain-path: remove and return every entry at once.  The caller
-     * (holding the stripe mutex) then failFetch()es each one with the
-     * mutex released, unparking all waiters -- how a draining server
-     * guarantees no connection stays parked on a flight whose leader
-     * will never complete.
+     * (holding the stripe mutex) then publishes a failure to each one
+     * with the mutex released, unparking all waiters -- how a draining
+     * server guarantees no connection stays parked on a flight whose
+     * leader will never complete.
      */
     std::vector<std::shared_ptr<InflightFetch>>
     takeAll()

@@ -178,9 +178,9 @@ HarnessResult::writeJsonObject(std::ostream &os,
        << in2 << "\"missCostNs\": " << numFull(totals.missCostNs) << ",\n"
        << in2 << "\"storeCostNs\": " << numFull(totals.storeCostNs) << "\n"
        << in << "},\n"
-       // Deterministic under --hitpath locked (all zero except
-       // backendFetches == misses); scheduling-dependent under
-       // seqlock, hence a block of its own.
+       // Deterministic while no two callers contend for a stripe (all
+       // zero except backendFetches == misses); scheduling-dependent
+       // otherwise, hence a block of its own.
        << in << "\"concurrency\": {\n"
        << in2 << "\"seqlockHits\": " << totals.seqlockHits << ",\n"
        << in2 << "\"seqlockRetries\": " << totals.seqlockRetries << ",\n"

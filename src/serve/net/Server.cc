@@ -444,9 +444,6 @@ NetServer::infoText() const
     out += "policy:" + service_.policyName() + "\n";
     line(out, "shards", service_.numShards());
     line(out, "stripes", service_.numStripes());
-    out += "hitpath:";
-    out += hitPathName(service_.config().hitPath);
-    out += '\n';
     line(out, "gets", t.gets);
     line(out, "hits", t.hits);
     line(out, "misses", t.misses);

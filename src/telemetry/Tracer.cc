@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "telemetry/MetricRegistry.h"
 #include "util/Logging.h"
 
 namespace csr::telemetry
@@ -68,7 +69,13 @@ Tracer::record(const char *cat, const char *name, char phase,
     event.value = value;
     event.hasValue = has_value;
     std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.events.push_back(event);
+    if (buffer.events.size() < kMaxEventsPerThread) {
+        buffer.events.push_back(event);
+        return;
+    }
+    buffer.events[buffer.next] = event;
+    buffer.next = (buffer.next + 1) % kMaxEventsPerThread;
+    ++buffer.dropped;
 }
 
 void
@@ -119,6 +126,8 @@ Tracer::clear()
     for (ThreadBuffer &buffer : buffers_) {
         std::lock_guard<std::mutex> buffer_lock(buffer.mutex);
         buffer.events.clear();
+        buffer.next = 0;
+        buffer.dropped = 0;
     }
     epoch_ = std::chrono::steady_clock::now();
 }
@@ -135,6 +144,21 @@ Tracer::eventCount() const
     return total;
 }
 
+void
+Tracer::exportMetrics(MetricRegistry &registry) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::uint64_t events = 0;
+    std::uint64_t dropped = 0;
+    for (const ThreadBuffer &buffer : buffers_) {
+        std::lock_guard<std::mutex> buffer_lock(buffer.mutex);
+        events += buffer.events.size();
+        dropped += buffer.dropped;
+    }
+    registry.setCounter("trace.events", events);
+    registry.setCounter("trace.dropped_events", dropped);
+}
+
 std::vector<TraceEvent>
 Tracer::snapshot() const
 {
@@ -142,8 +166,12 @@ Tracer::snapshot() const
     std::vector<TraceEvent> out;
     for (const ThreadBuffer &buffer : buffers_) {
         std::lock_guard<std::mutex> buffer_lock(buffer.mutex);
-        out.insert(out.end(), buffer.events.begin(),
-                   buffer.events.end());
+        // A wrapped ring's oldest event sits at next.
+        const auto oldest =
+            buffer.events.begin() +
+            static_cast<std::ptrdiff_t>(buffer.next);
+        out.insert(out.end(), oldest, buffer.events.end());
+        out.insert(out.end(), buffer.events.begin(), oldest);
     }
     return out;
 }

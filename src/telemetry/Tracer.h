@@ -22,6 +22,12 @@
  *    buffer's own uncontended mutex (taken only so that export can
  *    run concurrently with stragglers under TSan).
  *
+ * Memory is bounded: each thread keeps at most kMaxEventsPerThread
+ * events in a ring that overwrites its oldest entry once full, so a
+ * long `csrserve --trace` keeps the most recent window instead of
+ * growing without limit.  Overwritten events are counted and
+ * exported as "trace.dropped_events".
+ *
  * Event names are expected to be string literals; dynamic labels
  * (e.g. a sweep cell's "barnes/DCL/random/r=4" label) must be
  * interned first via Tracer::intern(), which returns a pointer that
@@ -40,6 +46,11 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+namespace csr
+{
+class MetricRegistry;
+}
 
 namespace csr::telemetry
 {
@@ -81,6 +92,10 @@ struct TraceEvent
 class Tracer
 {
   public:
+    /** Per-thread ring capacity (~12 MiB of events per thread). */
+    static constexpr std::size_t kMaxEventsPerThread = std::size_t{1}
+                                                       << 18;
+
     static Tracer &instance();
 
     /** Open a duration span ('B'); pair with end(). */
@@ -101,9 +116,9 @@ class Tracer
      */
     const char *intern(const std::string &label);
 
-    /** Drop every recorded event and restart the trace epoch.  Buffers
-     *  registered by live threads stay valid (they are emptied, not
-     *  freed). */
+    /** Drop every recorded event, zero the drop count and restart the
+     *  trace epoch.  Buffers registered by live threads stay valid
+     *  (they are emptied, not freed). */
     void clear();
 
     /** Total record() invocations since process start (never reset):
@@ -117,7 +132,12 @@ class Tracer
     /** Number of buffered events across all threads. */
     std::size_t eventCount() const;
 
-    /** Merged copy of every buffered event (stable per-thread order;
+    /** Export the buffered event count and the events full rings
+     *  overwrote since the last clear() into @p registry, as
+     *  "trace.events" and "trace.dropped_events". */
+    void exportMetrics(MetricRegistry &registry) const;
+
+    /** Merged copy of every buffered event (per-thread oldest first;
      *  threads are concatenated by tid). */
     std::vector<TraceEvent> snapshot() const;
 
@@ -131,7 +151,10 @@ class Tracer
     {
         std::uint32_t tid = 0;
         mutable std::mutex mutex;
+        /** Grows to kMaxEventsPerThread, then wraps at @p next. */
         std::vector<TraceEvent> events;
+        std::size_t next = 0;      ///< oldest slot once the ring is full
+        std::uint64_t dropped = 0; ///< events overwritten since clear()
     };
 
     Tracer();

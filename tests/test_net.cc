@@ -11,7 +11,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <tuple>
+#include <typeinfo>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -21,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ServeTestBackend.h"
 #include "robust/Errors.h"
 #include "serve/CacheService.h"
 #include "serve/LoadHarness.h"
@@ -298,47 +302,75 @@ TEST(NetEventLoop, PostedClosuresRunOnTheLoopThread)
 namespace
 {
 
-/** Overrides only the sync fetch: exercises the Backend base-class
- *  fetchAsync adapter, including its exception path. */
-class SyncOnlyBackend : public Backend
+/** What one get delivered: its result, or its error's type and text. */
+struct Delivered
 {
-  public:
-    BackendResult
-    fetch(Addr key, std::uint64_t) override
+    ServeOpResult result;
+    std::string error;
+
+    auto
+    fields() const
     {
-        if (failNext.exchange(false))
-            throw InjectedFaultError("sync backend failure");
-        BackendResult result;
-        result.value = hashMix64(key);
-        result.latencyNs = 100.0;
-        return result;
+        return std::make_tuple(error, result.hit, result.value,
+                               result.backendNs);
     }
-
-    BackendResult
-    store(Addr, std::uint64_t value, std::uint64_t) override
-    {
-        BackendResult result;
-        result.value = value;
-        result.latencyNs = 100.0;
-        return result;
-    }
-
-    std::string describe() const override { return "sync-only"; }
-
-    std::atomic<bool> failNext{false};
 };
+
+std::string
+describe(const std::exception_ptr &error)
+{
+    if (!error)
+        return "";
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return std::string(typeid(e).name()) + ": " + e.what();
+    }
+}
+
+Delivered
+viaGet(CacheService &service, Addr key)
+{
+    Delivered out;
+    try {
+        out.result = service.get(key);
+    } catch (...) {
+        out.error = describe(std::current_exception());
+    }
+    return out;
+}
+
+/** getAsync, filling @p out whenever the callback runs. */
+void
+viaGetAsync(CacheService &service, Addr key, std::optional<Delivered> &out)
+{
+    service.getAsync(key, [&out](const ServeOpResult &result,
+                                 std::exception_ptr error) {
+        out = Delivered{result, describe(error)};
+    });
+}
+
+/** Every ServeTotals field the get protocol moves. */
+auto
+getTotals(const ServeTotals &t)
+{
+    return std::make_tuple(t.gets, t.hits, t.misses, t.evictions,
+                           t.trackedKeys, t.missCostNs, t.backendFetches,
+                           t.coalescedMisses, t.breakerOpens,
+                           t.breakerFastFails, t.staleServes);
+}
 
 } // namespace
 
 TEST(NetAsyncBackend, DefaultAdapterCompletesInline)
 {
-    SyncOnlyBackend backend;
+    ScriptedBackend backend;
     bool completed = false;
     backend.fetchAsync(17, 0,
                        [&](const BackendResult &result,
                            std::exception_ptr error) {
                            EXPECT_EQ(error, nullptr);
-                           EXPECT_EQ(result.value, hashMix64(17));
+                           EXPECT_EQ(result.value, backend.valueOf(17));
                            completed = true;
                        });
     EXPECT_TRUE(completed);
@@ -356,112 +388,110 @@ TEST(NetAsyncBackend, DefaultAdapterCompletesInline)
     EXPECT_TRUE(failed);
 }
 
+/**
+ * get() and getAsync() share one protocol and differ only in how they
+ * wait and fetch, so every branch of it -- hit, leader fetch, coalesced
+ * join, leader crash, breaker fail-fast with and without a stale value
+ * -- must deliver the same results, errors and totals through both.
+ */
 TEST(NetAsyncService, GetAsyncMatchesGetOpByOp)
 {
-    SyntheticBackendConfig backend_config;
-    backend_config.seed = 11;
-    SyntheticBackend sync_backend(backend_config);
-    SyntheticBackend async_backend(backend_config);
+    for (const bool stale : {false, true}) {
+        SCOPED_TRACE(stale ? "stale-while-broken" : "fail-fast");
+        ServeConfig config = tinyServeConfig();
+        config.shards = 1; // one breaker sees every fetch
+        config.breaker.windowOps = 2;
+        config.breaker.minSamples = 2;
+        config.breaker.failureRateThreshold = 1.0; // two in a row
+        config.breaker.backoffInitialMs = 60'000.0;
+        config.breaker.backoffMaxMs = 60'000.0;
+        config.breaker.staleWhileBroken = stale;
+        ScriptedBackend sync_backend, async_backend;
+        CacheService sync_service(config, sync_backend);
+        CacheService async_service(config, async_backend);
 
-    CacheService sync_service(tinyServeConfig(), sync_backend);
-    CacheService async_service(tinyServeConfig(), async_backend);
+        const auto both = [&](Addr key, const std::string &what) {
+            const Delivered want = viaGet(sync_service, key);
+            std::optional<Delivered> got;
+            viaGetAsync(async_service, key, got);
+            ASSERT_TRUE(got) << what; // unheld: completes inline
+            EXPECT_EQ(got->fields(), want.fields()) << what;
+        };
 
-    Rng rng(42);
-    for (int i = 0; i < 5000; ++i) {
-        const Addr key = rng.next() % 512;
-        const ServeOpResult expect = sync_service.get(key);
-        ServeOpResult got;
-        bool done = false;
-        async_service.getAsync(key,
-                               [&](const ServeOpResult &result,
-                                   std::exception_ptr error) {
-                                   ASSERT_EQ(error, nullptr);
-                                   got = result;
-                                   done = true;
-                               });
-        // The synthetic backend completes inline, so the callback
-        // has already run.
-        ASSERT_TRUE(done);
-        EXPECT_EQ(got.hit, expect.hit) << "op " << i;
-        EXPECT_EQ(got.value, expect.value) << "op " << i;
-        EXPECT_EQ(got.backendNs, expect.backendNs) << "op " << i;
-    }
+        // Hits and leader fetches, with evictions.
+        Rng rng(42);
+        for (int i = 0; i < 5000; ++i)
+            both(rng.next() % 512, "op " + std::to_string(i));
 
-    const ServeTotals a = sync_service.totals();
-    const ServeTotals b = async_service.totals();
-    EXPECT_EQ(a.gets, b.gets);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.missCostNs, b.missCostNs);
-    EXPECT_EQ(a.evictions, b.evictions);
-}
+        // A known value that is no longer resident.
+        constexpr Addr kStale = 1005;
+        both(kStale, "stale key fill");
+        ASSERT_TRUE(sync_service.del(kStale));
+        ASSERT_TRUE(async_service.del(kStale));
 
-namespace
-{
+        // A second get of a key whose leader's fetch is held joins it.
+        constexpr Addr kJoin = 1003;
+        Delivered lead, join;
+        const std::uint64_t calls = sync_backend.calls();
+        sync_backend.hold();
+        std::thread leader([&] { lead = viaGet(sync_service, kJoin); });
+        sync_backend.awaitCalls(calls + 1);
+        std::thread joiner([&] { join = viaGet(sync_service, kJoin); });
+        while (sync_service.totals().coalescedMisses == 0)
+            std::this_thread::yield();
+        sync_backend.release();
+        leader.join();
+        joiner.join();
+        std::optional<Delivered> async_lead, async_join;
+        async_backend.hold();
+        viaGetAsync(async_service, kJoin, async_lead);
+        viaGetAsync(async_service, kJoin, async_join);
+        EXPECT_FALSE(async_lead || async_join);
+        async_backend.release();
+        ASSERT_TRUE(async_lead && async_join);
+        EXPECT_EQ(async_lead->fields(), lead.fields());
+        EXPECT_EQ(async_join->fields(), join.fields());
 
-/** Blocks fetches until release() (test_serve_concurrency's gate). */
-class GateBackend : public Backend
-{
-  public:
-    BackendResult
-    fetch(Addr key, std::uint64_t) override
-    {
-        fetches.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return released_; });
-        BackendResult result;
-        result.value = hashMix64(key);
-        result.latencyNs = 5000.0;
-        return result;
-    }
-
-    BackendResult
-    store(Addr, std::uint64_t value, std::uint64_t) override
-    {
-        BackendResult result;
-        result.value = value;
-        result.latencyNs = 1000.0;
-        return result;
-    }
-
-    std::string describe() const override { return "gate"; }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            released_ = true;
+        // Two leader crashes in a row; the second trips the breaker.
+        for (const Addr key : {1001, 1002}) {
+            sync_backend.failNext = true;
+            async_backend.failNext = true;
+            both(key, "crash on " + std::to_string(key));
         }
-        cv_.notify_all();
+        ASSERT_EQ(async_service.breakerOf(0).state(),
+                  CircuitBreaker::State::Open);
+
+        // Open: a resident key still hits, the known one is served
+        // stale or refused, an unknown one is refused.
+        both(kJoin, "hit while open");
+        both(kStale, "known key while open");
+        both(1004, "unknown key while open");
+
+        const ServeTotals totals = async_service.totals();
+        EXPECT_EQ(getTotals(totals), getTotals(sync_service.totals()));
+        EXPECT_EQ(totals.coalescedMisses, 1u);
+        EXPECT_EQ(totals.breakerOpens, 1u);
+        EXPECT_EQ(totals.breakerFastFails, 2u);
+        EXPECT_EQ(totals.staleServes, stale ? 1u : 0u);
     }
-
-    std::atomic<std::uint64_t> fetches{0};
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool released_ = false;
-};
-
-} // namespace
+}
 
 TEST(ServeInflightTimeout, WaiterTimesOutWithTypedErrorNotForever)
 {
-    GateBackend backend;
+    ScriptedBackend backend;
     ServeConfig config = tinyServeConfig();
     config.shards = 1;
     config.inflightWaitMs = 50.0; // waiters give up fast
     CacheService service(config, backend);
 
     constexpr Addr kKey = 99;
+    backend.hold();
     std::thread leader([&] {
-        // Blocks inside the gated fetch until release().
+        // Blocks inside the held fetch until release().
         const ServeOpResult result = service.get(kKey);
-        EXPECT_EQ(result.value, hashMix64(kKey));
+        EXPECT_EQ(result.value, backend.valueOf(kKey));
     });
-    while (backend.fetches.load() == 0)
-        std::this_thread::yield();
+    backend.awaitCalls(1);
 
     // A coalesced waiter must come back with TimeoutError, not park
     // forever on the wedged leader.
@@ -473,7 +503,7 @@ TEST(ServeInflightTimeout, WaiterTimesOutWithTypedErrorNotForever)
     // The flight completed after the timeout; the key now hits.
     const ServeOpResult after = service.get(kKey);
     EXPECT_TRUE(after.hit);
-    EXPECT_EQ(backend.fetches.load(), 1u);
+    EXPECT_EQ(backend.calls(), 1u);
 }
 
 TEST(ServeInflightTimeout, ConfigRejectsNegativeWait)

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "replay/Format.h"
 #include "replay/Ingest.h"
 #include "replay/ReplayStream.h"
@@ -37,13 +39,18 @@ using namespace csr::replay;
 namespace
 {
 
-/** Fresh path under the gtest temp dir (unique per call). */
+/** Fresh path under the gtest temp dir, unique per call, test and
+ *  process: ctest runs every test in a process of its own, several at
+ *  once under -j, so a per-process counter alone would collide. */
 std::string
 tempPath(const std::string &stem)
 {
     static int counter = 0;
-    return testing::TempDir() + "csr_replay_" + stem + "_" +
-           std::to_string(counter++) + ".csrt";
+    const testing::TestInfo *test =
+        testing::UnitTest::GetInstance()->current_test_info();
+    return testing::TempDir() + "csr_replay_" + test->test_suite_name() +
+           "." + test->name() + "_" + std::to_string(::getpid()) + "_" +
+           stem + "_" + std::to_string(counter++) + ".csrt";
 }
 
 /** n records exercising all ops, irregular timestamps, and value
@@ -93,17 +100,6 @@ flipByte(const std::string &path, std::uint64_t offset)
     byte = static_cast<char>(byte ^ 0x5A);
     f.seekp(static_cast<std::streamoff>(offset));
     f.write(&byte, 1);
-}
-
-void
-truncateTo(const std::string &path, std::uint64_t bytes)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> data(bytes);
-    in.read(data.data(), static_cast<std::streamsize>(bytes));
-    in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(bytes));
 }
 
 /** Build a strict CliArgs from a flag list (argv[0] = program). */
@@ -526,10 +522,12 @@ TEST(Ingest, BadRowsThrowNamingTheLine)
     config.colKey = 1;
     config.colOp = 2;
 
+    const std::string short_row = tempPath("bad1");
+    const std::string bad_op = tempPath("bad2");
     // Too few columns.
     {
         std::istringstream in("0,a,get\n0,b\n");
-        TraceWriter writer(tempPath("bad1"), 8);
+        TraceWriter writer(short_row, 8);
         try {
             ingestText(in, config, writer);
             FAIL() << "short row accepted";
@@ -542,10 +540,12 @@ TEST(Ingest, BadRowsThrowNamingTheLine)
     // Unknown op token.
     {
         std::istringstream in("0,a,frobnicate\n");
-        TraceWriter writer(tempPath("bad2"), 8);
+        TraceWriter writer(bad_op, 8);
         EXPECT_THROW(ingestText(in, config, writer),
                      TraceFormatError);
     }
+    std::remove(short_row.c_str());
+    std::remove(bad_op.c_str());
 }
 
 TEST(Ingest, TsUnitsScaleAndMissingTsSynthesizes)

@@ -431,21 +431,6 @@ TEST(CacheService, AutoStripesResolveToAPowerOfTwo)
     EXPECT_EQ(stripes & (stripes - 1), 0u);
 }
 
-TEST(CacheService, RequireHitPathValidatesWithAcceptedValues)
-{
-    EXPECT_EQ(requireHitPath("locked"), HitPath::Locked);
-    EXPECT_EQ(requireHitPath("seqlock"), HitPath::Seqlock);
-    try {
-        requireHitPath("optimistic");
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &err) {
-        // The message must list the accepted values.
-        EXPECT_NE(std::string(err.what()).find("locked seqlock"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
 TEST(CacheService, RequireStripesValidatesWithAcceptedValues)
 {
     EXPECT_EQ(requireStripes("auto"), kStripesAuto);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests of the serving layer's concurrency machinery (ISSUE PR 6):
- * the seqlock hit path never serves a torn read, the deferred access
- * log makes the locked and seqlock end states coincide at one worker,
- * and a miss stampede on one key coalesces onto a single backend
+ * Tests of the serving layer's concurrency machinery: the lock-free
+ * read of a busy stripe never serves a torn read, the deferred access
+ * log makes a contended run end in the same state as an uncontended
+ * one, and a miss stampede on one key coalesces onto a single backend
  * fetch while every requester's EWMA still sees a sample.
  *
  * Suite names contain "Serve" so the CI TSan job's ctest regex picks
@@ -14,17 +14,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "ServeTestBackend.h"
 #include "cache/SimdScan.h"
 #include "robust/Errors.h"
 #include "serve/CacheService.h"
 #include "serve/LoadHarness.h"
 #include "serve/SyntheticBackend.h"
+#include "telemetry/Telemetry.h"
 #include "util/Random.h"
 
 using namespace csr;
@@ -36,14 +38,13 @@ namespace
 /** One-shard service with far fewer lines than the keyspace, so gets
  *  churn the tag/value lanes while readers probe them. */
 ServeConfig
-churnConfig(PolicyKind policy, HitPath path)
+churnConfig(PolicyKind policy)
 {
     ServeConfig config;
     config.shards = 1;
     config.shardBytes = 4 * 1024; // 64 lines
     config.assoc = 8;
     config.policy = policy;
-    config.hitPath = path;
     return config;
 }
 
@@ -54,76 +55,117 @@ putPayload(Addr key)
     return hashMix64(key ^ 0xC0FFEEull);
 }
 
-/**
- * A backend whose fetches block until release(): lets a test park N
- * threads on one cold key and then prove only one fetch ever ran.
- */
-class GateBackend : public Backend
+/** Run put(@p key) on a helper thread held inside its store() -- so it
+ *  holds its stripe's mutex -- call @p during, then let it finish.
+ *  @return the put's result. */
+template <typename Fn>
+ServeOpResult
+whileStripeHeld(CacheService &service, ScriptedBackend &backend, Addr key,
+                Fn during)
 {
-  public:
-    BackendResult
-    fetch(Addr key, std::uint64_t) override
-    {
-        fetches.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return released_; });
-        BackendResult result;
-        result.value = valueOf(key);
-        result.latencyNs = 5000.0;
-        return result;
-    }
+    const std::uint64_t calls = backend.calls();
+    backend.hold();
+    ServeOpResult put;
+    std::thread holder([&] { put = service.put(key, putPayload(key)); });
+    backend.awaitCalls(calls + 1);
+    during();
+    backend.release();
+    holder.join();
+    return put;
+}
 
-    BackendResult
-    store(Addr, std::uint64_t value, std::uint64_t) override
-    {
-        BackendResult result;
-        result.value = value;
-        result.latencyNs = 1000.0;
-        return result;
-    }
-
-    std::string describe() const override { return "gate"; }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            released_ = true;
+/**
+ * Replay @p ops through @p service from this thread.  With a
+ * @p reference (the per-op results of an uncontended replay of the
+ * same ops), each write that was a store hit there -- it changes no
+ * residency -- holds its stripe while this thread serves the gets
+ * after it that hit in the reference (up to one that reads the written
+ * key): those gets meet a busy stripe.
+ */
+std::vector<ServeOpResult>
+replayOps(CacheService &service, ScriptedBackend &backend,
+          const std::vector<Op> &ops,
+          const std::vector<ServeOpResult> *reference = nullptr)
+{
+    constexpr std::size_t kMaxWindow = 64; // well inside the access log
+    std::vector<ServeOpResult> results(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const Op &op = ops[i];
+        if (!op.write) {
+            results[i] = service.get(op.key);
+        } else if (reference == nullptr || !(*reference)[i].hit) {
+            results[i] = service.put(op.key, putPayload(op.key));
+        } else {
+            std::size_t j = i + 1;
+            results[i] = whileStripeHeld(service, backend, op.key, [&] {
+                for (; j < ops.size() && j - i <= kMaxWindow &&
+                       !ops[j].write && (*reference)[j].hit &&
+                       ops[j].key != op.key;
+                     ++j)
+                    results[j] = service.get(ops[j].key);
+            });
+            // A window get that missed had to wait out the hold: the
+            // runs diverged, so stop and let the caller report where.
+            for (std::size_t k = i + 1; k < j; ++k)
+                if (!results[k].hit)
+                    return results;
+            i = j - 1;
         }
-        cv_.notify_all();
     }
-
-    static std::uint64_t valueOf(Addr key) { return hashMix64(key); }
-
-    std::atomic<std::uint64_t> fetches{0};
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool released_ = false;
-};
+    return results;
+}
 
 /**
- * GateBackend variant whose next gated fetch throws after release():
- * the leader-crash test needs a backend that fails exactly once and
- * then recovers.
+ * The same op stream twice -- once uncontended, once with a stripe
+ * held busy around the gets that follow each resident write -- must
+ * give the same per-op results and the same end state: the deferred
+ * recency promotions of the lock-free hits, drained by the next lock
+ * holder, replay exactly what the locked hits would have done.
  */
-class CrashOnceBackend : public GateBackend
+void
+expectContendedRunMatchesUncontended(PolicyKind policy, unsigned stripes)
 {
-  public:
-    BackendResult
-    fetch(Addr key, std::uint64_t salt) override
-    {
-        const BackendResult result = GateBackend::fetch(key, salt);
-        if (failNext_.exchange(false))
-            throw InjectedFaultError("injected backend failure");
-        return result;
-    }
+    ServeConfig config = churnConfig(policy);
+    config.shards = 4;
+    config.shardBytes = 16 * 1024;
+    config.stripes = stripes;
 
-  private:
-    std::atomic<bool> failNext_{true};
-};
+    WorkloadMix mix;
+    mix.numKeys = 8192;
+    mix.writeFraction = 0.1;
+    KeyGenerator generator(mix, 99);
+    std::vector<Op> ops(30000);
+    for (Op &op : ops)
+        op = generator.next();
+
+    ScriptedBackend plain_backend, busy_backend;
+    CacheService plain(config, plain_backend);
+    CacheService busy(config, busy_backend);
+    const std::vector<ServeOpResult> want =
+        replayOps(plain, plain_backend, ops);
+    const std::vector<ServeOpResult> got =
+        replayOps(busy, busy_backend, ops, &want);
+    plain.checkInvariants();
+    busy.checkInvariants();
+
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        ASSERT_EQ(std::tie(got[i].hit, got[i].value, got[i].backendNs),
+                  std::tie(want[i].hit, want[i].value, want[i].backendNs))
+            << "op " << i;
+    const auto end_state = [](const ServeTotals &t) {
+        return std::make_tuple(t.gets, t.hits, t.misses, t.storeHits,
+                               t.evictions, t.trackedKeys, t.missCostNs,
+                               t.storeCostNs);
+    };
+    const ServeTotals a = plain.totals();
+    const ServeTotals b = busy.totals();
+    EXPECT_EQ(end_state(a), end_state(b));
+    // Only the contended run read around the lock -- and it did.
+    EXPECT_EQ(a.seqlockHits, 0u);
+    EXPECT_GT(b.seqlockHits, 100u);
+    EXPECT_EQ(b.lockedFallbacks, 0u);
+    EXPECT_EQ(b.logFullFallbacks, 0u);
+}
 
 } // namespace
 
@@ -157,19 +199,10 @@ TEST(ServeSimdScan, MatchesScalarOnEveryMaskShape)
 // Seqlock hit path
 // ---------------------------------------------------------------------------
 
-TEST(ServeSeqlock, ParseAndNameRoundTrip)
-{
-    EXPECT_EQ(parseHitPath("locked"), HitPath::Locked);
-    EXPECT_EQ(parseHitPath("seqlock"), HitPath::Seqlock);
-    EXPECT_FALSE(parseHitPath("optimistic").has_value());
-    EXPECT_STREQ(hitPathName(HitPath::Locked), "locked");
-    EXPECT_STREQ(hitPathName(HitPath::Seqlock), "seqlock");
-}
-
 TEST(ServeSeqlock, RejectsBadAccessLogCapacity)
 {
     SyntheticBackend backend(SyntheticBackendConfig{});
-    ServeConfig config = churnConfig(PolicyKind::Lru, HitPath::Seqlock);
+    ServeConfig config = churnConfig(PolicyKind::Lru);
     config.accessLogCapacity = 48; // not a power of two
     EXPECT_THROW(CacheService(config, backend), ConfigError);
     config.accessLogCapacity = 1;
@@ -188,7 +221,7 @@ TEST(ServeSeqlock, NeverServesATornReadUnderFillChurn)
     SyntheticBackendConfig backend_config;
     backend_config.seed = 17;
     SyntheticBackend backend(backend_config);
-    CacheService service(churnConfig(PolicyKind::Lru, HitPath::Seqlock),
+    CacheService service(churnConfig(PolicyKind::Lru),
                          backend);
 
     constexpr unsigned kThreads = 4;
@@ -233,7 +266,7 @@ TEST(ServeSeqlock, ValuesStayLegalUnderConcurrentPuts)
     SyntheticBackendConfig backend_config;
     backend_config.seed = 23;
     SyntheticBackend backend(backend_config);
-    CacheService service(churnConfig(PolicyKind::Acl, HitPath::Seqlock),
+    CacheService service(churnConfig(PolicyKind::Acl),
                          backend);
 
     constexpr Addr kKeys = 256;
@@ -270,131 +303,92 @@ TEST(ServeSeqlock, ValuesStayLegalUnderConcurrentPuts)
     service.checkInvariants();
 }
 
-/**
- * At one worker the deferred access log is drained before every
- * locked op, so the policy sees the exact access order the fully
- * locked path produces: identical hits, misses, evictions, and
- * bit-identical cost sums, for every policy.
- */
 TEST(ServeSeqlock, EndStateMatchesLockedPathAtOneWorker)
 {
     for (const PolicyKind policy :
          {PolicyKind::Lru, PolicyKind::GreedyDual, PolicyKind::Bcl,
           PolicyKind::Dcl, PolicyKind::Acl}) {
-        HarnessConfig harness;
-        harness.ops = 60000;
-        harness.workers = 1;
-        harness.seed = 99;
-        harness.mix.numKeys = 8192;
-
-        SyntheticBackendConfig backend_config;
-        backend_config.seed = 7;
-
-        ServeTotals totals[2];
-        for (const HitPath path :
-             {HitPath::Locked, HitPath::Seqlock}) {
-            SyntheticBackend backend(backend_config);
-            ServeConfig config = churnConfig(policy, path);
-            config.shards = 4;
-            config.shardBytes = 16 * 1024;
-            CacheService service(config, backend);
-            totals[path == HitPath::Seqlock] =
-                runLoad(service, harness).totals;
-            service.checkInvariants();
-        }
-        EXPECT_EQ(totals[0].gets, totals[1].gets);
-        EXPECT_EQ(totals[0].hits, totals[1].hits);
-        EXPECT_EQ(totals[0].misses, totals[1].misses);
-        EXPECT_EQ(totals[0].storeHits, totals[1].storeHits);
-        EXPECT_EQ(totals[0].evictions, totals[1].evictions);
-        EXPECT_EQ(totals[0].trackedKeys, totals[1].trackedKeys);
-        EXPECT_EQ(totals[0].missCostNs, totals[1].missCostNs);
-        EXPECT_EQ(totals[0].storeCostNs, totals[1].storeCostNs);
-        // The seqlock run must actually have exercised the lock-free
-        // path, not fallen back throughout.
-        EXPECT_EQ(totals[0].seqlockHits, 0u);
-        EXPECT_GT(totals[1].seqlockHits, 0u);
+        SCOPED_TRACE(policyKindName(policy));
+        expectContendedRunMatchesUncontended(policy, 1);
     }
 }
 
 /**
- * A saturated access log is counted apart from contention fallbacks:
- * with a capacity-2 log and no locked op to drain it, every third
- * optimistic hit finds the log full, is re-served on the locked path
- * (draining it), and bumps logFullFallbacks -- while lockedFallbacks
- * (retry-budget exhaustion) stays zero on a single thread.
- */
-TEST(ServeSeqlock, FullAccessLogIsCountedApartFromContention)
-{
-    SyntheticBackend backend(SyntheticBackendConfig{});
-    ServeConfig config = churnConfig(PolicyKind::Lru, HitPath::Seqlock);
-    config.accessLogCapacity = 2;
-    CacheService service(config, backend);
-
-    service.get(7); // install
-    constexpr std::uint64_t kHits = 12;
-    for (std::uint64_t i = 0; i < kHits; ++i)
-        EXPECT_TRUE(service.get(7).hit);
-
-    const ServeTotals totals = service.totals();
-    EXPECT_EQ(totals.gets, kHits + 1);
-    EXPECT_EQ(totals.hits, kHits);
-    EXPECT_GT(totals.logFullFallbacks, 0u);
-    EXPECT_EQ(totals.lockedFallbacks, 0u);
-    // Every hit was either served lock-free or re-served locked after
-    // a full-log fallback; the two tallies partition the hits.
-    EXPECT_EQ(totals.seqlockHits + totals.logFullFallbacks,
-              totals.hits);
-    service.checkInvariants();
-}
-
-/**
- * The one-worker end-state equality holds inside a striped shard too:
- * stripes only partition the sets, so with the same drain points the
- * locked and seqlock paths still see identical access orders.
+ * The same equality inside a striped shard: a held stripe sends only
+ * its own keys' gets around the lock, while gets on its sibling
+ * stripes still find their mutexes free.
  */
 TEST(ServeSeqlock, EndStateMatchesLockedPathAtOneWorkerWhenStriped)
 {
     for (const PolicyKind policy :
          {PolicyKind::Lru, PolicyKind::Dcl, PolicyKind::Acl}) {
-        HarnessConfig harness;
-        harness.ops = 60000;
-        harness.workers = 1;
-        harness.seed = 99;
-        harness.mix.numKeys = 8192;
-
-        SyntheticBackendConfig backend_config;
-        backend_config.seed = 7;
-
-        ServeTotals totals[2];
-        for (const HitPath path :
-             {HitPath::Locked, HitPath::Seqlock}) {
-            SyntheticBackend backend(backend_config);
-            ServeConfig config = churnConfig(policy, path);
-            config.shards = 4;
-            config.shardBytes = 16 * 1024;
-            config.stripes = 4;
-            CacheService service(config, backend);
-            totals[path == HitPath::Seqlock] =
-                runLoad(service, harness).totals;
-            service.checkInvariants();
-        }
-        EXPECT_EQ(totals[0].gets, totals[1].gets);
-        EXPECT_EQ(totals[0].hits, totals[1].hits);
-        EXPECT_EQ(totals[0].misses, totals[1].misses);
-        EXPECT_EQ(totals[0].storeHits, totals[1].storeHits);
-        EXPECT_EQ(totals[0].evictions, totals[1].evictions);
-        EXPECT_EQ(totals[0].trackedKeys, totals[1].trackedKeys);
-        EXPECT_EQ(totals[0].missCostNs, totals[1].missCostNs);
-        EXPECT_EQ(totals[0].storeCostNs, totals[1].storeCostNs);
-        EXPECT_GT(totals[1].seqlockHits, 0u);
+        SCOPED_TRACE(policyKindName(policy));
+        expectContendedRunMatchesUncontended(policy, 4);
     }
 }
+
+#if !defined(CSR_TELEMETRY_DISABLED)
+
+/**
+ * A saturated access log is counted apart from contention fallbacks.
+ * With the stripe held and a capacity-2 log, two hits are served
+ * lock-free; the third finds the log full, waits for the mutex, and
+ * is re-served on the locked path (draining the log) -- bumping
+ * logFullFallbacks while lockedFallbacks (a beaten retry budget)
+ * stays zero, since the holder never opens a write section.
+ */
+TEST(ServeSeqlock, FullAccessLogIsCountedApartFromContention)
+{
+    ScriptedBackend backend;
+    ServeConfig config = churnConfig(PolicyKind::Lru);
+    config.accessLogCapacity = 2;
+    CacheService service(config, backend);
+    service.get(7); // install
+
+    telemetry::Tracer &tracer = telemetry::Tracer::instance();
+    std::atomic<bool> third_done{false};
+    std::thread third;
+    whileStripeHeld(service, backend, 8, [&] {
+        EXPECT_TRUE(service.get(7).hit);
+        EXPECT_TRUE(service.get(7).hit);
+        // The third get has to wait for the holder.  Its lock-wait
+        // span opens only after the full log sent it there, so seeing
+        // the span is what makes releasing the holder safe.
+        tracer.clear();
+        telemetry::setTracingEnabled(true);
+        third = std::thread([&] {
+            EXPECT_TRUE(service.get(7).hit);
+            third_done = true;
+        });
+        const auto waiting = [&] {
+            for (const telemetry::TraceEvent &ev : tracer.snapshot())
+                if (ev.phase == 'B' &&
+                    std::string(ev.name) == "stripe.lock_wait")
+                    return true;
+            return false;
+        };
+        while (!waiting() && !third_done)
+            std::this_thread::yield();
+    });
+    third.join();
+    telemetry::setTracingEnabled(false);
+    tracer.clear();
+
+    const ServeTotals totals = service.totals();
+    EXPECT_EQ(totals.gets, 4u);
+    EXPECT_EQ(totals.hits, 3u);
+    EXPECT_EQ(totals.seqlockHits, 2u);
+    EXPECT_EQ(totals.logFullFallbacks, 1u);
+    EXPECT_EQ(totals.lockedFallbacks, 0u);
+    service.checkInvariants();
+}
+
+#endif // !CSR_TELEMETRY_DISABLED
 
 TEST(ServeSeqlock, FreeAffinityHarnessRunValidatesClean)
 {
     SyntheticBackend backend(SyntheticBackendConfig{});
-    ServeConfig config = churnConfig(PolicyKind::Acl, HitPath::Seqlock);
+    ServeConfig config = churnConfig(PolicyKind::Acl);
     config.shards = 4;
     CacheService service(config, backend);
 
@@ -425,8 +419,9 @@ TEST(ServeSeqlock, FreeAffinityHarnessRunValidatesClean)
  */
 TEST(ServeSingleFlight, StampedeOnOneKeyCoalescesToOneFetch)
 {
-    GateBackend backend;
-    CacheService service(churnConfig(PolicyKind::Lru, HitPath::Seqlock),
+    ScriptedBackend backend;
+    backend.hold();
+    CacheService service(churnConfig(PolicyKind::Lru),
                          backend);
 
     constexpr unsigned kThreads = 8;
@@ -438,7 +433,7 @@ TEST(ServeSingleFlight, StampedeOnOneKeyCoalescesToOneFetch)
         threads.emplace_back([&] {
             const ServeOpResult result = service.get(kKey);
             if (result.hit ||
-                result.value != GateBackend::valueOf(kKey))
+                result.value != backend.valueOf(kKey))
                 wrongValues.fetch_add(1, std::memory_order_relaxed);
         });
     }
@@ -452,7 +447,7 @@ TEST(ServeSingleFlight, StampedeOnOneKeyCoalescesToOneFetch)
         thread.join();
 
     EXPECT_EQ(wrongValues.load(), 0u);
-    EXPECT_EQ(backend.fetches.load(), 1u);
+    EXPECT_EQ(backend.calls(), 1u);
 
     const ServeTotals totals = service.totals();
     EXPECT_EQ(totals.misses, kThreads);
@@ -461,13 +456,14 @@ TEST(ServeSingleFlight, StampedeOnOneKeyCoalescesToOneFetch)
     // One observation per requester: the cost signal is not starved
     // by the coalescing.
     EXPECT_EQ(service.keySamples(kKey), kThreads);
-    // Each requester was charged the leader's measured latency.
-    EXPECT_EQ(totals.missCostNs, 5000.0 * kThreads);
-
     // The key is now resident: a subsequent get is a pure hit.
     const ServeOpResult again = service.get(kKey);
     EXPECT_TRUE(again.hit);
-    EXPECT_EQ(again.value, GateBackend::valueOf(kKey));
+    // Each requester was charged the leader's measured latency.
+    EXPECT_DOUBLE_EQ(totals.missCostNs,
+                     backend.SyntheticBackend::fetch(kKey, 0).latencyNs *
+                         kThreads);
+    EXPECT_EQ(again.value, backend.valueOf(kKey));
     service.checkInvariants();
 }
 
@@ -480,8 +476,10 @@ TEST(ServeSingleFlight, StampedeOnOneKeyCoalescesToOneFetch)
  */
 TEST(ServeSingleFlight, LeaderCrashWakesWaitersWithTheError)
 {
-    CrashOnceBackend backend;
-    CacheService service(churnConfig(PolicyKind::Lru, HitPath::Seqlock),
+    ScriptedBackend backend;
+    backend.hold();
+    backend.failNext = true;
+    CacheService service(churnConfig(PolicyKind::Lru),
                          backend);
 
     constexpr unsigned kThreads = 6;
@@ -507,17 +505,17 @@ TEST(ServeSingleFlight, LeaderCrashWakesWaitersWithTheError)
         thread.join();
 
     // The leader rethrows its own error; every waiter gets the same
-    // one from awaitFetch.  Nobody deadlocks, nobody fabricates a
-    // value.
+    // one from the published flight.  Nobody deadlocks, nobody
+    // fabricates a value.
     EXPECT_EQ(failed.load(), kThreads);
-    EXPECT_EQ(backend.fetches.load(), 1u);
+    EXPECT_EQ(backend.calls(), 1u);
 
     // The crashed flight was erased: the retry elects a fresh leader
     // and the (now recovered) backend serves it.
     const ServeOpResult retry = service.get(kKey);
     EXPECT_FALSE(retry.hit);
-    EXPECT_EQ(retry.value, GateBackend::valueOf(kKey));
-    EXPECT_EQ(backend.fetches.load(), 2u);
+    EXPECT_EQ(retry.value, backend.valueOf(kKey));
+    EXPECT_EQ(backend.calls(), 2u);
 
     const ServeTotals totals = service.totals();
     EXPECT_EQ(totals.misses, kThreads + 1u);
@@ -537,8 +535,9 @@ TEST(ServeSingleFlight, LeaderCrashWakesWaitersWithTheError)
  */
 TEST(ServeSingleFlight, StripedStampedeStillCoalescesToOneFetch)
 {
-    GateBackend backend;
-    ServeConfig config = churnConfig(PolicyKind::Acl, HitPath::Seqlock);
+    ScriptedBackend backend;
+    backend.hold();
+    ServeConfig config = churnConfig(PolicyKind::Acl);
     config.stripes = 4;
     CacheService service(config, backend);
 
@@ -551,7 +550,7 @@ TEST(ServeSingleFlight, StripedStampedeStillCoalescesToOneFetch)
         threads.emplace_back([&] {
             const ServeOpResult result = service.get(kKey);
             if (result.hit ||
-                result.value != GateBackend::valueOf(kKey))
+                result.value != backend.valueOf(kKey))
                 wrongValues.fetch_add(1, std::memory_order_relaxed);
         });
     }
@@ -562,7 +561,7 @@ TEST(ServeSingleFlight, StripedStampedeStillCoalescesToOneFetch)
         thread.join();
 
     EXPECT_EQ(wrongValues.load(), 0u);
-    EXPECT_EQ(backend.fetches.load(), 1u);
+    EXPECT_EQ(backend.calls(), 1u);
     const ServeTotals totals = service.totals();
     EXPECT_EQ(totals.misses, kThreads);
     EXPECT_EQ(totals.backendFetches, 1u);
@@ -574,7 +573,7 @@ TEST(ServeSingleFlight, StripedStampedeStillCoalescesToOneFetch)
 TEST(ServeSingleFlight, LockedPathCountsOneFetchPerMiss)
 {
     SyntheticBackend backend(SyntheticBackendConfig{});
-    CacheService service(churnConfig(PolicyKind::Lru, HitPath::Locked),
+    CacheService service(churnConfig(PolicyKind::Lru),
                          backend);
     for (Addr key = 0; key < 200; ++key)
         service.get(key);

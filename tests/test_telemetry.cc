@@ -320,6 +320,32 @@ TEST(Tracer, ClearRestartsTheEpoch)
     EXPECT_EQ(telemetry::Tracer::instance().eventCount(), 0u);
 }
 
+/** Past its cap a thread's ring overwrites its oldest events, keeps
+ *  the newest window in order, and counts what it dropped. */
+TEST(Tracer, FullRingKeepsTheNewestEventsAndCountsTheDropped)
+{
+    TracingScope scope;
+    telemetry::Tracer &tracer = telemetry::Tracer::instance();
+    constexpr std::size_t kCap = telemetry::Tracer::kMaxEventsPerThread;
+    constexpr std::size_t kOver = 1000;
+    for (std::size_t i = 0; i < kCap + kOver; ++i)
+        CSR_TRACE_INSTANT_V("test", "fill", static_cast<double>(i));
+
+    const std::vector<telemetry::TraceEvent> events = tracer.snapshot();
+    ASSERT_EQ(events.size(), kCap);
+    EXPECT_EQ(events.front().value, static_cast<double>(kOver));
+    for (std::size_t i = 1; i < events.size(); ++i)
+        ASSERT_EQ(events[i].value, events[i - 1].value + 1.0) << i;
+
+    MetricRegistry registry;
+    tracer.exportMetrics(registry);
+    EXPECT_EQ(registry.counter("trace.events"), kCap);
+    EXPECT_EQ(registry.counter("trace.dropped_events"), kOver);
+    tracer.clear();
+    tracer.exportMetrics(registry);
+    EXPECT_EQ(registry.counter("trace.dropped_events"), 0u);
+}
+
 #endif // !CSR_TELEMETRY_DISABLED
 
 // ---------------------------------------------------------------------------

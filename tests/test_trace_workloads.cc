@@ -7,6 +7,7 @@
  * fractions: Barnes 44.8%, LU 19.1%, Ocean 7.4%, Raytrace 29.6%.
  */
 
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -161,11 +162,18 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SampledTraceTest,
 // Table 1 calibration: remote-access fractions under first touch
 // ---------------------------------------------------------------------------
 
+// gtest names a parameterised case by printing the raw bytes of its
+// parameter, so the padding between `id` and `paperFraction` is spelled
+// out as a zeroed member; otherwise the printed test names would carry
+// indeterminate padding bytes and change from one build to the next.
 struct RemoteTarget
 {
     BenchmarkId id;
+    std::uint32_t padding;
     double paperFraction;
 };
+static_assert(sizeof(BenchmarkId) == 4 && sizeof(RemoteTarget) == 16,
+              "RemoteTarget must have no implicit padding");
 
 class RemoteFraction : public ::testing::TestWithParam<RemoteTarget>
 {
@@ -183,10 +191,10 @@ TEST_P(RemoteFraction, MatchesTable1Target)
 
 INSTANTIATE_TEST_SUITE_P(
     Table1, RemoteFraction,
-    ::testing::Values(RemoteTarget{BenchmarkId::Barnes, 0.448},
-                      RemoteTarget{BenchmarkId::Lu, 0.191},
-                      RemoteTarget{BenchmarkId::Ocean, 0.074},
-                      RemoteTarget{BenchmarkId::Raytrace, 0.296}),
+    ::testing::Values(RemoteTarget{BenchmarkId::Barnes, 0, 0.448},
+                      RemoteTarget{BenchmarkId::Lu, 0, 0.191},
+                      RemoteTarget{BenchmarkId::Ocean, 0, 0.074},
+                      RemoteTarget{BenchmarkId::Raytrace, 0, 0.296}),
     [](const auto &info) { return benchmarkName(info.param.id); });
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@
  *            [--ewma-alpha F] [--inflight-wait-ms F]
  *            [--slow-frac F] [--slow-ns N] [--fast-ns N] [--jitter F]
  *            [--spin] [--affinity shard|free] [--validate]
- *            [--hitpath locked|seqlock] [--stripes auto|N]
+ *            [--stripes auto|N]
  *            [--json FILE] [--trace FILE] [--metrics FILE]
  *
  * Server (--listen HOST:PORT): same service, but fronted by the RESP
@@ -23,7 +23,7 @@
  * epoll worker threads -- until SIGINT/SIGTERM, then the summary:
  *
  *   csrserve --listen 127.0.0.1:7411 --net-workers 4 \
- *            --policy acl --hitpath seqlock --stripes auto
+ *            --policy acl --stripes auto
  *
  * Client (--connect HOST:PORT): replay the same deterministic op
  * stream over C RESP connections against a remote csrserve; the
@@ -220,9 +220,9 @@ usage()
            "  service:  --policy " << policyNamesJoined() << "\n"
         << "            --shards N (pow2) --shard-bytes N --assoc N\n"
            "            --block-bytes N --ewma-alpha F\n"
-           "            --hitpath locked|seqlock (lock-free read hits)\n"
            "            --stripes auto|N (pow2 locked sub-shards; 1 =\n"
-           "              the single-mutex shard, byte for byte)\n"
+           "              the single-mutex shard, byte for byte; a read\n"
+           "              hit on a busy stripe is served lock-free)\n"
            "            --inflight-wait-ms F (coalesced-miss bound;\n"
            "              0 = wait forever)\n"
            "  backend:  --fast-ns F --slow-ns F --slow-frac F\n"
@@ -272,8 +272,8 @@ usage()
 void
 report(const CliArgs &args, const HarnessResult &result,
        const std::string &policy, const std::string &workload,
-       const std::string &title,
-       net::NetServer *server = nullptr)
+       const std::string &title, net::NetServer *server = nullptr,
+       const CacheService *service = nullptr)
 {
     result.summaryTable(title).print(std::cout);
     // Timing to stderr: stdout stays byte-diffable across --workers
@@ -289,9 +289,13 @@ report(const CliArgs &args, const HarnessResult &result,
 
     if (!args.metricsPath().empty()) {
         MetricRegistry registry;
+        if (service)
+            service->exportMetrics(registry);
         result.exportMetrics(registry);
         if (server)
             server->exportMetrics(registry);
+        if (!args.tracePath().empty())
+            telemetry::Tracer::instance().exportMetrics(registry);
         registry.writeJson(args.metricsPath());
         inform("wrote metrics to %s", args.metricsPath().c_str());
     }
@@ -476,25 +480,10 @@ runInProcess(const CliArgs &args)
             : "replay:" + harness_config.replayPath;
     // In-process metrics keep the service's export too (the server
     // path exports through the NetServer instead).
-    if (!args.metricsPath().empty()) {
-        MetricRegistry registry;
-        service.exportMetrics(registry);
-        result.exportMetrics(registry);
-        registry.writeJson(args.metricsPath());
-        inform("wrote metrics to %s", args.metricsPath().c_str());
-    }
-    result
-        .summaryTable("serve: " + service.policyName() + " / " +
-                      workload + " / " + backend.describe())
-        .print(std::cout);
-    result.timingTable().print(std::cerr);
-
-    if (!args.jsonPath().empty()) {
-        std::ofstream os(args.jsonPath());
-        result.writeJsonObject(os, service.policyName(), workload);
-        os << "\n";
-        inform("wrote JSON to %s", args.jsonPath().c_str());
-    }
+    report(args, result, service.policyName(), workload,
+           "serve: " + service.policyName() + " / " + workload + " / " +
+               backend.describe(),
+           nullptr, &service);
     return exitcode::kOk;
 }
 
@@ -548,7 +537,7 @@ main(int argc, char **argv)
             "ewma-alpha", "fast-ns", "slow-ns", "slow-frac", "jitter",
             "spin", "ops", "workers", "qps", "workload", "keys",
             "zipf-theta", "hot-frac", "hot-prob", "write-frac",
-            "affinity", "validate", "hitpath", "stripes",
+            "affinity", "validate", "stripes",
             "replay", "record",
             "inflight-wait-ms", "listen", "net-workers", "connect",
             "connections", "pipeline", "net-timeout", "expect-fresh",
