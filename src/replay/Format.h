@@ -58,8 +58,7 @@ struct ReplayRecord
 namespace format
 {
 
-/** File magic: distinct from the legacy row-format "CSRT" of
- *  trace/TraceIO.h, which shares the first four bytes of neither. */
+/** File magic; the format version follows it at byte 8. */
 inline constexpr char kMagic[8] = {'c', 's', 'r', 't',
                                    'c', 'o', 'l', '1'};
 inline constexpr std::uint32_t kVersion = 1;

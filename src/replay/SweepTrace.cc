@@ -3,6 +3,9 @@
 #include <unordered_set>
 
 #include "replay/TraceReader.h"
+#include "replay/TraceWriter.h"
+#include "robust/FaultInjector.h"
+#include "util/Logging.h"
 #include "util/Random.h"
 
 namespace csr::replay
@@ -77,6 +80,52 @@ loadReplaySampledTrace(const std::string &path,
                   static_cast<double>(trace.sampledRefs)
             : 0.0;
     return trace;
+}
+
+void
+saveSampledTrace(const std::string &path, const SampledTrace &trace)
+{
+    TraceWriter writer(path);
+    ReplayRecord out;
+    for (const TraceRecord &rec : trace.records) {
+        const bool sampled = rec.proc == trace.sampledProc;
+        csr_assert(sampled || rec.write,
+                   "a sampled trace holds only other processors' writes");
+        out.key = rec.addr;
+        out.op = !sampled ? TraceOp::Del
+                 : rec.write ? TraceOp::Set
+                             : TraceOp::Get;
+        writer.append(out);
+        ++out.tsNs;
+    }
+    writer.finish();
+}
+
+std::vector<TraceRecord>
+loadSampledRecords(const std::string &path, ProcId sampled)
+{
+    CSR_FAULT_POINT(FaultSite::TraceLoad,
+                    "loadSampledRecords(" + path + ")");
+    TraceReader reader(path);
+    const auto remote = static_cast<std::uint16_t>(sampled == 0 ? 1 : 0);
+
+    std::vector<TraceRecord> records;
+    records.reserve(reader.recordCount());
+    ReplayBlock block;
+    for (std::uint64_t b = 0; b < reader.blockCount(); ++b) {
+        reader.readBlock(b, block);
+        for (std::size_t i = 0; i < block.size(); ++i) {
+            const auto op = static_cast<TraceOp>(block.op[i]);
+            TraceRecord rec;
+            rec.addr = block.key[i];
+            rec.proc = op == TraceOp::Del
+                           ? remote
+                           : static_cast<std::uint16_t>(sampled);
+            rec.write = op != TraceOp::Get;
+            records.push_back(rec);
+        }
+    }
+    return records;
 }
 
 } // namespace csr::replay

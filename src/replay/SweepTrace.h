@@ -1,8 +1,10 @@
 /**
  * @file
- * Bridge from .csrt traces into the sweep engine's SampledTrace form,
- * so recorded KV workloads can occupy grid cells next to the paper's
- * synthetic benchmarks (csrsim sweep ... traces=foo.csrt).
+ * Bridge between .csrt traces and the SampledTrace form: recorded KV
+ * workloads occupy sweep grid cells next to the paper's synthetic
+ * benchmarks (csrsim sweep ... traces=foo.csrt), and generated
+ * sampled-processor traces are saved and reloaded as .csrt
+ * (csrsim trace --save-trace/--load-trace).
  */
 
 #ifndef CSR_REPLAY_SWEEPTRACE_H
@@ -10,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "trace/SampledTrace.h"
 
@@ -33,6 +36,29 @@ std::string traceCellName(const std::string &path);
  */
 SampledTrace loadReplaySampledTrace(const std::string &path,
                                     std::uint32_t block_bytes);
+
+/**
+ * Write @p trace's records to @p path as .csrt: key = byte address,
+ * the sampled processor's loads and stores become GETs and SETs,
+ * other processors' writes (the invalidations of Section 3.1) become
+ * DELs, and the timestamp is the record index.
+ *
+ * @throws ConfigError on an unwritable path, TraceFormatError on a
+ *         write failure.
+ */
+void saveSampledTrace(const std::string &path, const SampledTrace &trace);
+
+/**
+ * Read the records of a .csrt file written by saveSampledTrace(),
+ * seen from processor @p sampled: GETs and SETs become its loads and
+ * stores, each DEL a write by another processor.  The remote
+ * writer's id is not stored; the simulators only compare a record's
+ * processor against the sampled one.
+ *
+ * @throws ConfigError / TraceFormatError from TraceReader.
+ */
+std::vector<TraceRecord> loadSampledRecords(const std::string &path,
+                                            ProcId sampled);
 
 } // namespace csr::replay
 

@@ -180,11 +180,15 @@ TraceReader::TraceReader(const std::string &path, ReadMode mode)
         fail("index offset " + std::to_string(indexOffset_) +
                  " outside the file",
              40);
+    // Divide rather than multiply: a crafted block count must not
+    // wrap the product around to the real index size.
     const std::uint64_t index_bytes = fileBytes_ - indexOffset_;
-    if (index_bytes != block_count * kIndexEntryBytes)
+    if (index_bytes % kIndexEntryBytes != 0 ||
+        index_bytes / kIndexEntryBytes != block_count)
         fail("index holds " + std::to_string(index_bytes) +
-                 " bytes, want " +
-                 std::to_string(block_count * kIndexEntryBytes),
+                 " bytes, not " + std::to_string(kIndexEntryBytes) +
+                 " for each of " + std::to_string(block_count) +
+                 " blocks",
              indexOffset_);
 
     index_.resize(block_count);
@@ -219,6 +223,16 @@ TraceReader::TraceReader(const std::string &path, ReadMode mode)
         if (prev_end <= index_[b].offset || prev_end > indexOffset_)
             fail("block " + std::to_string(b) + " has no room before "
                      "offset " + std::to_string(prev_end),
+                 indexOffset_ + b * kIndexEntryBytes);
+        // Every record spends at least its raw op byte, so a valid
+        // recordCount() is bounded by the file size and callers may
+        // reserve() by it.
+        if (index_[b].records > prev_end - index_[b].offset)
+            fail("block " + std::to_string(b) + " claims " +
+                     std::to_string(index_[b].records) +
+                     " records in " +
+                     std::to_string(prev_end - index_[b].offset) +
+                     " bytes",
                  indexOffset_ + b * kIndexEntryBytes);
         seen_records += index_[b].records;
     }

@@ -38,7 +38,7 @@ namespace csr
 /** Named probe points compiled into the simulators. */
 enum class FaultSite : unsigned
 {
-    TraceLoad = 0, ///< TraceIO binary trace parsing
+    TraceLoad = 0, ///< loadSampledRecords (csrsim --load-trace)
     TraceSim,      ///< TraceSimulator replay loop (per-cell work)
     NumaSim,       ///< NumaSystem event loop
     CheckpointIO,  ///< sweep checkpoint journal append

@@ -3,8 +3,9 @@
  * Tests of the trace-replay subsystem (src/replay): csrt format
  * round-trips at every block boundary, corrupt/truncated-file
  * rejection with typed errors, mmap-vs-buffered reader equality,
- * replay determinism across --jobs, text ingestion, the serve-layer
- * replay path, and the KeyGenerator determinism/zeta-cache
+ * replay determinism across --jobs, text ingestion, the SampledTrace
+ * bridge (sweep cells, csrsim --save-trace/--load-trace), the
+ * serve-layer replay path, and the KeyGenerator determinism/zeta-cache
  * satellites.
  */
 
@@ -12,15 +13,16 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "cost/StaticCostModels.h"
 #include "replay/Format.h"
 #include "replay/Ingest.h"
-#include "replay/ReplayStream.h"
 #include "replay/Replayer.h"
 #include "replay/SweepTrace.h"
 #include "replay/TraceReader.h"
@@ -30,6 +32,8 @@
 #include "serve/KeyGenerator.h"
 #include "serve/LoadHarness.h"
 #include "serve/SyntheticBackend.h"
+#include "sim/TraceStudy.h"
+#include "trace/WorkloadFactory.h"
 #include "util/CliArgs.h"
 #include "util/Random.h"
 
@@ -85,6 +89,23 @@ writeTrace(const std::vector<ReplayRecord> &records,
         writer.append(rec);
     writer.finish();
     return path;
+}
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::uint8_t *data,
+           std::size_t n)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(data),
+              static_cast<std::streamsize>(n));
 }
 
 /** In-place byte surgery for corruption tests. */
@@ -273,28 +294,22 @@ TEST(TraceReaderRejects, BadMagic)
 
 TEST(TraceReaderRejects, TruncatedHeaderAndBody)
 {
-    const std::string path = writeTrace(syntheticRecords(64), 8, "trunc");
-    const std::uint64_t full = TraceReader(path).fileBytes();
-
-    // Shorter than the fixed header: rejected outright.
-    const std::string stub = tempPath("stub");
-    {
-        std::ofstream out(stub, std::ios::binary);
-        out.write("csrtcol1", 8);
-    }
-    EXPECT_THROW(TraceReader{stub}, TraceFormatError);
-    std::remove(stub.c_str());
-
-    // Cut inside the block payloads: the index now points past EOF.
+    const std::string path = writeTrace(syntheticRecords(40), 8, "trunc");
+    const std::vector<std::uint8_t> full = readBytes(path);
     const std::string cut = tempPath("cut");
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::vector<char> data(full / 2);
-        in.read(data.data(), static_cast<std::streamsize>(data.size()));
-        std::ofstream out(cut, std::ios::binary);
-        out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    for (ReadMode mode : {ReadMode::Mmap, ReadMode::Buffered}) {
+        for (std::size_t len = 0; len < full.size(); ++len) {
+            writeBytes(cut, full.data(), len);
+            EXPECT_THROW(
+                {
+                    TraceReader reader(cut, mode);
+                    reader.readAll();
+                    reader.verifyChecksum();
+                },
+                TraceFormatError)
+                << readModeName(mode) << " prefix length " << len;
+        }
     }
-    EXPECT_THROW(TraceReader{cut}, TraceFormatError);
     std::remove(cut.c_str());
     std::remove(path.c_str());
 }
@@ -620,32 +635,8 @@ TEST(Ingest, PresetFlagsValidateAndRejectUnknownNames)
 }
 
 // ---------------------------------------------------------------------------
-// ReplayStream + sweep bridge
+// SampledTrace bridge
 // ---------------------------------------------------------------------------
-
-TEST(ReplayStream, EmitsBlockAddressesAndSkipsDels)
-{
-    std::vector<ReplayRecord> records(4);
-    records[0] = {0, 10, TraceOp::Get, 8, 0};
-    records[1] = {1, 11, TraceOp::Set, 8, 0};
-    records[2] = {2, 10, TraceOp::Del, 0, 0};
-    records[3] = {3, 12, TraceOp::Get, 8, 0};
-    const std::string path = writeTrace(records, 2, "stream");
-
-    TraceReader reader(path);
-    ReplayStream stream(reader, 64);
-    MemAccess access;
-    ASSERT_TRUE(stream.next(access));
-    EXPECT_EQ(access.addr, 10u * 64);
-    EXPECT_FALSE(access.write);
-    ASSERT_TRUE(stream.next(access));
-    EXPECT_EQ(access.addr, 11u * 64);
-    EXPECT_TRUE(access.write);
-    ASSERT_TRUE(stream.next(access)); // the Del was skipped
-    EXPECT_EQ(access.addr, 12u * 64);
-    EXPECT_FALSE(stream.next(access));
-    std::remove(path.c_str());
-}
 
 TEST(SweepTrace, LoadsDeterministicallyAndNamesCells)
 {
@@ -662,6 +653,49 @@ TEST(SweepTrace, LoadsDeterministicallyAndNamesCells)
     EXPECT_EQ(a.remoteAccessFraction, b.remoteAccessFraction);
     EXPECT_EQ(a.homeOf, b.homeOf);
     std::remove(path.c_str());
+}
+
+TEST(SweepTrace, SavedSampledTraceReloadsToTheSameStudy)
+{
+    auto wl = makeWorkload(BenchmarkId::Barnes, WorkloadScale::Test);
+    const SampledTrace trace = buildSampledTrace(*wl, 1);
+    const std::string path = tempPath("sampled");
+    saveSampledTrace(path, trace);
+
+    SampledTrace back = trace;
+    back.records = loadSampledRecords(path, trace.sampledProc);
+    std::remove(path.c_str());
+    ASSERT_EQ(back.records.size(), trace.records.size());
+    std::uint64_t remote = 0;
+    for (std::size_t i = 0; i < trace.records.size(); ++i) {
+        const TraceRecord &want = trace.records[i];
+        const TraceRecord &got = back.records[i];
+        if (want.proc == trace.sampledProc) {
+            EXPECT_EQ(got, want) << "record " << i;
+        } else {
+            ++remote;
+            EXPECT_EQ(got.addr, want.addr) << "record " << i;
+            EXPECT_TRUE(got.write) << "record " << i;
+            EXPECT_NE(got.proc, trace.sampledProc) << "record " << i;
+        }
+    }
+    EXPECT_GT(remote, 0u);
+
+    const FirstTouchTwoCost model(CostRatio::finite(4), trace.homeOf,
+                                  trace.sampledProc);
+    for (PolicyKind kind : {PolicyKind::Lru, PolicyKind::Dcl}) {
+        const TraceSimResult a = TraceStudy(trace).run(kind, model);
+        const TraceSimResult b = TraceStudy(back).run(kind, model);
+        EXPECT_EQ(a.policyName, b.policyName);
+        EXPECT_EQ(a.sampledRefs, b.sampledRefs);
+        EXPECT_EQ(a.l1Hits, b.l1Hits);
+        EXPECT_EQ(a.l2Hits, b.l2Hits);
+        EXPECT_EQ(a.l2Misses, b.l2Misses);
+        EXPECT_EQ(a.highCostMisses, b.highCostMisses);
+        EXPECT_EQ(a.invalidationsReceived, b.invalidationsReceived);
+        EXPECT_EQ(a.aggregateCost, b.aggregateCost);
+        EXPECT_EQ(a.policyStats.all(), b.policyStats.all());
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
  * Tests for the robustness layer: the typed error hierarchy, the
  * JSONL checkpoint substrate under corrupt and truncated input, the
  * sweep checkpoint codec, per-cell fault isolation and retry,
- * kill-and-resume equivalence, hardened trace parsing, the NUMA
+ * kill-and-resume equivalence, typed trace-file errors, the NUMA
  * stall watchdog, and (in CSR_FAULT_INJECT builds) the deterministic
  * fault injector end to end.
  */
@@ -21,12 +21,14 @@
 #include <gtest/gtest.h>
 
 #include "numa/NumaSystem.h"
+#include "replay/Format.h"
+#include "replay/SweepTrace.h"
+#include "replay/TraceReader.h"
 #include "robust/CheckpointLog.h"
 #include "robust/Errors.h"
 #include "robust/FaultInjector.h"
 #include "sim/SweepCheckpoint.h"
 #include "sim/SweepRunner.h"
-#include "trace/TraceIO.h"
 #include "trace/WorkloadFactory.h"
 
 namespace csr
@@ -472,89 +474,128 @@ TEST(SweepRobust, ResumeAgainstDifferentGridIsCheckpointError)
 }
 
 // ---------------------------------------------------------------------------
-// Hardened trace parsing
+// Sampled trace files (csrsim trace --save-trace/--load-trace)
 // ---------------------------------------------------------------------------
 
-std::string
-validBinaryTrace()
+void
+spit(const std::string &path, const std::string &data)
 {
-    std::ostringstream os(std::ios::binary);
-    writeTraceBinary(os, {{0x1000, 0, false},
-                          {0x2040, 3, true},
-                          {0x3f80, 15, false}});
-    return os.str();
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
-TEST(TraceRobust, EveryTruncationThrowsTraceFormatError)
+/** Processor 1's load and store, then another processor's write. */
+SampledTrace
+tinySampledTrace()
 {
-    const std::string full = validBinaryTrace();
-    {
-        std::istringstream is(full, std::ios::binary);
-        EXPECT_EQ(readTraceBinary(is).size(), 3u);
-    }
-    for (std::size_t len = 0; len < full.size(); ++len) {
-        std::istringstream is(full.substr(0, len), std::ios::binary);
-        EXPECT_THROW(readTraceBinary(is), TraceFormatError)
-            << "prefix length " << len;
-    }
+    SampledTrace trace;
+    trace.sampledProc = 1;
+    trace.records = {{0x1000, 1, false}, {0x2040, 1, true},
+                     {0x3f80, 15, true}};
+    return trace;
+}
+
+std::string
+savedBytes(const SampledTrace &trace, const std::string &name)
+{
+    TempPath path(name);
+    replay::saveSampledTrace(path.str(), trace);
+    return slurp(path.str());
 }
 
 TEST(TraceRobust, BadMagicAndBitsCarryOffsets)
 {
-    std::istringstream garbage("XXXXGARBAGE", std::ios::binary);
+    TempPath path("bad.csrt");
+    spit(path.str(), std::string(100, 'X'));
     try {
-        readTraceBinary(garbage);
+        replay::loadSampledRecords(path.str(), 1);
         FAIL() << "no throw";
     } catch (const TraceFormatError &e) {
         EXPECT_EQ(e.byteOffset(), 0u);
     }
 
-    // Flip a reserved meta bit inside the first record.
-    std::string bad = validBinaryTrace();
-    bad[20 + 11] = '\x40';
-    std::istringstream is(bad, std::ios::binary);
+    // A load and a store differ only in the header checksum and the
+    // first record's op byte, which starts the raw op column.
+    std::string bad = savedBytes(tinySampledTrace(), "ops_load.csrt");
+    SampledTrace stored = tinySampledTrace();
+    stored.records[0].write = true;
+    const std::string other = savedBytes(stored, "ops_store.csrt");
+    ASSERT_EQ(bad.size(), other.size());
+    std::size_t op = replay::format::kHeaderBytes;
+    while (op < bad.size() && bad[op] == other[op])
+        ++op;
+    ASSERT_LT(op, bad.size());
+    bad[op] = '\x07'; // no such TraceOp
+    spit(path.str(), bad);
     try {
-        readTraceBinary(is);
+        replay::loadSampledRecords(path.str(), 1);
         FAIL() << "no throw";
     } catch (const TraceFormatError &e) {
-        EXPECT_EQ(e.byteOffset(), 28u); // header + first record's meta
+        EXPECT_EQ(e.byteOffset(), op);
+    }
+}
+
+TEST(TraceRobust, EveryTruncationThrowsTraceFormatError)
+{
+    const std::string full = savedBytes(tinySampledTrace(), "full.csrt");
+    TempPath path("cut.csrt");
+    spit(path.str(), full);
+    EXPECT_EQ(replay::loadSampledRecords(path.str(), 1).size(), 3u);
+    for (std::size_t len = 0; len < full.size(); ++len) {
+        spit(path.str(), full.substr(0, len));
+        EXPECT_THROW(replay::loadSampledRecords(path.str(), 1),
+                     TraceFormatError)
+            << "prefix length " << len;
     }
 }
 
 TEST(TraceRobust, HugeDeclaredCountDoesNotPreallocate)
 {
-    // Header declaring 2^56 records followed by nothing: must throw
-    // truncation promptly instead of reserving petabytes.
-    std::ostringstream os(std::ios::binary);
-    writeTraceBinary(os, {});
-    std::string data = os.str();
-    data[12] = '\x00';
-    data[19] = '\x01'; // count = 1 << 56
-    std::istringstream is(data, std::ios::binary);
-    EXPECT_THROW(readTraceBinary(is), TraceFormatError);
-}
+    using namespace replay::format;
 
-TEST(TraceRobust, MalformedTextLinesThrowWithOffsets)
-{
-    const char *bad[] = {"bogus\n", "R\n", "R 1\n", "X 1 1000\n",
-                         "R 99999 1000\n", "R 1 zz\n"};
-    for (const char *text : bad) {
-        std::istringstream is(std::string("# ok\n") + text);
-        EXPECT_THROW(readTraceText(is), TraceFormatError) << text;
-    }
-    std::istringstream is("# c\nR 1 40\nW 70000 80\n");
-    try {
-        readTraceText(is);
-        FAIL() << "no throw";
-    } catch (const TraceFormatError &e) {
-        EXPECT_EQ(e.byteOffset(), 11u); // start of the bad line
+    // The 64-byte empty trace, patched to declare 2^60 records in 2^60
+    // one-record blocks indexed at byte 64: 2^60 index entries of 16
+    // bytes wrap to the zero bytes the file holds.
+    std::string empty = savedBytes(SampledTrace{}, "huge_empty.csrt");
+    ASSERT_EQ(empty.size(), kHeaderBytes);
+    auto *header = reinterpret_cast<std::uint8_t *>(empty.data());
+    put32(header + 16, 1);
+    put64(header + 24, std::uint64_t{1} << 60);
+    put64(header + 32, std::uint64_t{1} << 60);
+    put64(header + 40, kHeaderBytes);
+
+    // One block declaring 2^32 - 1 records in a few bytes: every
+    // record spends at least its op byte, so recordCount(), which
+    // loaders reserve() by, must never exceed the file size.
+    SampledTrace one;
+    one.records = {{0x40, 0, false}};
+    std::string block = savedBytes(one, "huge_block.csrt");
+    auto *data = reinterpret_cast<std::uint8_t *>(block.data());
+    const std::uint32_t huge = 0xFFFFFFFFu;
+    put32(data + 16, huge);
+    put64(data + 24, huge);
+    put32(data + get64(data + 40) + 8, huge);
+
+    TempPath path("huge.csrt");
+    for (const std::string *bytes : {&empty, &block}) {
+        spit(path.str(), *bytes);
+        for (replay::ReadMode mode :
+             {replay::ReadMode::Mmap, replay::ReadMode::Buffered})
+            EXPECT_THROW(replay::TraceReader(path.str(), mode),
+                         TraceFormatError)
+                << bytes->size() << "-byte file, "
+                << replay::readModeName(mode);
+        EXPECT_THROW(replay::loadSampledRecords(path.str(), 1),
+                     TraceFormatError);
     }
 }
 
 TEST(TraceRobust, MissingFilesAreConfigErrors)
 {
-    EXPECT_THROW(loadTrace("/nonexistent/trace.bin"), ConfigError);
-    EXPECT_THROW(saveTrace("/nonexistent-dir/trace.bin", {}),
+    EXPECT_THROW(replay::loadSampledRecords("/nonexistent/trace.csrt", 1),
+                 ConfigError);
+    EXPECT_THROW(replay::saveSampledTrace("/nonexistent-dir/trace.csrt",
+                                          SampledTrace{}),
                  ConfigError);
 }
 

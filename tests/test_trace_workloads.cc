@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the synthetic SPLASH-2-like workload generators, the
- * sampled-trace builder (Section 3.1 methodology) and trace I/O.
+ * Tests for the synthetic SPLASH-2-like workload generators and the
+ * sampled-trace builder (Section 3.1 methodology).
  *
  * The generators' calibration targets are Table 1's remote-access
  * fractions: Barnes 44.8%, LU 19.1%, Ocean 7.4%, Raytrace 29.6%.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "trace/OceanWorkload.h"
 #include "trace/RaytraceWorkload.h"
 #include "trace/SampledTrace.h"
-#include "trace/TraceIO.h"
 #include "trace/WorkloadFactory.h"
 
 namespace csr
@@ -261,61 +260,6 @@ TEST(Raytrace, SceneDominatesFootprint)
 {
     RaytraceWorkload wl;
     EXPECT_GT(wl.memoryBytes(), 4u * 1024 * 1024);
-}
-
-// ---------------------------------------------------------------------------
-// Trace I/O
-// ---------------------------------------------------------------------------
-
-TEST(TraceIO, BinaryRoundTrip)
-{
-    std::vector<TraceRecord> records = {
-        {0x1000, 0, false},
-        {0x2040, 3, true},
-        {0xFFFFFFFFFFC0ull, 15, false},
-    };
-    std::stringstream ss;
-    writeTraceBinary(ss, records);
-    const auto back = readTraceBinary(ss);
-    ASSERT_EQ(back.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(back[i], records[i]) << "record " << i;
-}
-
-TEST(TraceIO, TextRoundTrip)
-{
-    std::vector<TraceRecord> records = {
-        {0x1000, 0, false},
-        {0x2040, 3, true},
-    };
-    std::stringstream ss;
-    writeTraceText(ss, records);
-    const auto back = readTraceText(ss);
-    ASSERT_EQ(back.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(back[i], records[i]);
-}
-
-TEST(TraceIO, TextSkipsCommentsAndBlankLines)
-{
-    std::stringstream ss("# comment\n\nR 2 1000\n");
-    const auto back = readTraceText(ss);
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].addr, 0x1000u);
-    EXPECT_EQ(back[0].proc, 2);
-    EXPECT_FALSE(back[0].write);
-}
-
-TEST(TraceIO, BinaryRoundTripOfGeneratedTrace)
-{
-    auto wl = makeWorkload(BenchmarkId::Barnes, WorkloadScale::Test);
-    const SampledTrace trace = buildSampledTrace(*wl, 1);
-    std::stringstream ss;
-    writeTraceBinary(ss, trace.records);
-    const auto back = readTraceBinary(ss);
-    ASSERT_EQ(back.size(), trace.records.size());
-    EXPECT_TRUE(std::equal(back.begin(), back.end(),
-                           trace.records.begin()));
 }
 
 // ---------------------------------------------------------------------------

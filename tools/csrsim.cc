@@ -12,6 +12,11 @@
  *                [--save-trace FILE | --load-trace FILE]
  *       Replays a sampled-processor trace (Section 3 study) and
  *       prints hits/misses, aggregate cost and savings over LRU.
+ *       --save-trace writes the generated trace as .csrt (key = byte
+ *       address; the sampled processor's loads/stores are GET/SET,
+ *       other processors' writes DEL); --load-trace replays such a
+ *       file in place of the generated records, keeping the
+ *       first-touch homes of the generated workload.
  *
  *   csrsim numa  --benchmark raytrace --policy dcl \
  *                [--clock 500|1000] [--hints 0|1] [--scale ...]
@@ -84,6 +89,7 @@
 #include "cache/CacheGeometry.h"
 #include "cost/StaticCostModels.h"
 #include "replay/Replayer.h"
+#include "replay/SweepTrace.h"
 #include "numa/NumaSystem.h"
 #include "robust/Errors.h"
 #include "robust/FaultInjector.h"
@@ -91,7 +97,6 @@
 #include "sim/TraceStudy.h"
 #include "telemetry/MetricRegistry.h"
 #include "telemetry/Tracer.h"
-#include "trace/TraceIO.h"
 #include "trace/WorkloadFactory.h"
 #include "util/CliArgs.h"
 #include "util/Logging.h"
@@ -253,12 +258,13 @@ runTrace(const CliArgs &args)
     SampledTrace trace = buildSampledTrace(*workload, 1);
 
     if (args.has("load-trace")) {
-        trace.records = loadTrace(args.get("load-trace", ""));
-        inform("loaded %zu records (first-touch homes recomputed from "
-               "the generated trace)", trace.records.size());
+        trace.records = replay::loadSampledRecords(
+            args.get("load-trace", ""), trace.sampledProc);
+        inform("loaded %zu records (first-touch homes taken from the "
+               "generated workload)", trace.records.size());
     }
     if (args.has("save-trace")) {
-        saveTrace(args.get("save-trace", ""), trace.records);
+        replay::saveSampledTrace(args.get("save-trace", ""), trace);
         inform("saved %zu records", trace.records.size());
     }
 
@@ -520,7 +526,8 @@ usage()
            "          --fault-rate F --fault-seed N (inject builds)\n"
            "  trace:  --mapping random|first-touch --ratio R --haf F\n"
            "          --assoc N --l2 BYTES --depreciation F\n"
-           "          --save-trace FILE --load-trace FILE\n"
+           "          --save-trace F.csrt --load-trace F.csrt\n"
+           "            (GET/SET = sampled load/store, DEL = remote write)\n"
            "  numa:   --clock 500|1000 --hints 0|1 --store-weight W\n"
            "          --max-cycles NS --stall-window NS\n"
            "  replay: --file T.csrt --cache-bytes N --assoc N\n"
