@@ -193,12 +193,27 @@ Connection::onReadable()
 
     if (sawBytes)
         lastActivityNs_ = monotonicNowNs();
-    processBuffered();
-    if (closed_)
-        return;
-    flushOutput();
-    if (closed_)
-        return;
+    pump();
+}
+
+void
+Connection::pump()
+{
+    // One decode pass, then one flush for every reply it produced.
+    // A pass that stopped on the write watermark gets another go once
+    // the flush drains outBuf_: the bytes it left in the parser will
+    // never see another EPOLLIN.
+    while (true) {
+        processBuffered();
+        if (closed_)
+            return;
+        const bool wasStalled = stalled();
+        flushOutput();
+        if (closed_)
+            return;
+        if (!wasStalled || stalled() || parser_.buffered() == 0)
+            break;
+    }
     updateInterest();
     maybeClose();
 }
@@ -373,23 +388,14 @@ Connection::fillSlot(std::uint64_t slot, std::string reply_text)
                                                  s.start)
             .count());
     flushReady();
-    flushOutput();
-    if (closed_)
+    // Inside a decode pass the pass's caller sends once at the end.
+    if (processing_)
         return;
-    // A drained slot queue may lift backpressure; bytes already
-    // sitting in the parser will never get another EPOLLIN, so
-    // resume decoding them here (no-op while inside
-    // processBuffered()).
-    if (!processing_ && !stalled() && parser_.buffered() > 0) {
-        processBuffered();
-        if (closed_)
-            return;
-        flushOutput();
-        if (closed_)
-            return;
-    }
-    updateInterest();
-    maybeClose();
+    // A completion outside one (a posted async fill) sends now.  A
+    // drained slot queue may also lift backpressure, and bytes
+    // already sitting in the parser will never get another EPOLLIN,
+    // so pump() resumes decoding them first.
+    pump();
 }
 
 void
@@ -425,6 +431,7 @@ Connection::flushOutput()
             shortWrite = true;
         }
         ++writeSeq_;
+        ctx_.stats.sends.fetch_add(1, std::memory_order_relaxed);
         const ssize_t n =
             ::send(fd_, outBuf_.data() + outPos_, len, MSG_NOSIGNAL);
         if (n > 0) {
@@ -461,17 +468,15 @@ Connection::flushOutput()
 void
 Connection::updateInterest()
 {
-    const bool stalled =
-        unfilled_ >= ctx_.tuning.maxPendingOps ||
-        outBuf_.size() - outPos_ >= ctx_.tuning.writeWatermark;
+    const bool blocked = stalled();
     std::uint32_t want = 0;
-    if (!peerClosed_ && !closeAfterReply_ && !stalled)
+    if (!peerClosed_ && !closeAfterReply_ && !blocked)
         want |= EPOLLIN;
     if (outPos_ < outBuf_.size())
         want |= EPOLLOUT;
     if (want == interest_)
         return;
-    if (stalled && (interest_ & EPOLLIN) && !(want & EPOLLIN))
+    if (blocked && (interest_ & EPOLLIN) && !(want & EPOLLIN))
         ctx_.stats.backpressureStalls.fetch_add(
             1, std::memory_order_relaxed);
     ctx_.loop.mod(fd_, want);
@@ -481,22 +486,10 @@ Connection::updateInterest()
 void
 Connection::onWritable()
 {
-    flushOutput();
-    if (closed_)
-        return;
-    // Draining the write buffer may lift backpressure; bytes already
-    // buffered in the parser must then be re-examined even though no
+    // Draining the write buffer may lift backpressure; pump() then
+    // re-examines bytes already buffered in the parser even though no
     // new EPOLLIN will fire for them.
-    if (!stalled() && parser_.buffered() > 0) {
-        processBuffered();
-        if (closed_)
-            return;
-        flushOutput();
-        if (closed_)
-            return;
-    }
-    updateInterest();
-    maybeClose();
+    pump();
 }
 
 void

@@ -12,6 +12,11 @@
  * their slot whenever they land; and only the contiguous ready
  * prefix is ever flushed to the socket.
  *
+ * Flushing is batched per decode pass: a reply completed inside
+ * processBuffered() only moves into the write buffer, and the pass's
+ * caller sends the lot in one send(2).  A completion that lands
+ * outside a pass (a posted async fill) sends at once.
+ *
  * Backpressure is two-sided and entirely local to the connection:
  *
  *  - maxPendingOps unfilled slots -> stop reading (EPOLLIN off)
@@ -103,6 +108,8 @@ struct WorkerStats
     std::atomic<std::uint64_t> protocolErrors{0};
     std::atomic<std::uint64_t> bytesIn{0};
     std::atomic<std::uint64_t> bytesOut{0};
+    /** send(2) attempts, EAGAIN and short writes included. */
+    std::atomic<std::uint64_t> sends{0};
     std::atomic<std::uint64_t> backpressureStalls{0};
     /** Data commands answered -BUSY by admission control. */
     std::atomic<std::uint64_t> shedOps{0};
@@ -190,6 +197,10 @@ class Connection : public std::enable_shared_from_this<Connection>
     /** Either backpressure bound tripped: stop decoding/reading. */
     bool stalled() const;
 
+    /** Decode pass + one flush (again while the flush lifts a write
+     *  stall), then re-arm interest and close if done. */
+    void pump();
+
     /** Decode + execute commands already fed to the parser, until it
      *  runs dry, the connection stalls, or a protocol error latches.
      *  Reentrancy-safe (synchronous replies land mid-loop). */
@@ -202,7 +213,8 @@ class Connection : public std::enable_shared_from_this<Connection>
 
     /** Claim the next in-order reply slot; returns its id. */
     std::uint64_t allocSlot();
-    /** Deliver @p reply into @p slot; flushes the ready prefix. */
+    /** Deliver @p reply into @p slot and move the ready prefix into
+     *  outBuf_; sends it unless inside a decode pass. */
     void fillSlot(std::uint64_t slot, std::string reply);
     /** Shorthand: alloc + fill for synchronously answered verbs. */
     void reply(std::string text);

@@ -412,6 +412,7 @@ NetServer::stats() const
             s.protocolErrors.load(std::memory_order_relaxed);
         total.bytesIn += s.bytesIn.load(std::memory_order_relaxed);
         total.bytesOut += s.bytesOut.load(std::memory_order_relaxed);
+        total.sends += s.sends.load(std::memory_order_relaxed);
         total.backpressureStalls +=
             s.backpressureStalls.load(std::memory_order_relaxed);
         total.shedOps += s.shedOps.load(std::memory_order_relaxed);
@@ -479,6 +480,7 @@ NetServer::infoText() const
     line(out, "protocolErrors", n.protocolErrors);
     line(out, "bytesIn", n.bytesIn);
     line(out, "bytesOut", n.bytesOut);
+    line(out, "sends", n.sends);
     line(out, "backpressureStalls", n.backpressureStalls);
     line(out, "idleClosed", n.idleClosed);
     line(out, "deadlineClosed", n.deadlineClosed);
@@ -506,6 +508,7 @@ NetServer::exportMetrics(MetricRegistry &registry) const
     registry.setCounter("net.protocol_errors", n.protocolErrors);
     registry.setCounter("net.bytes.in", n.bytesIn);
     registry.setCounter("net.bytes.out", n.bytesOut);
+    registry.setCounter("net.sends", n.sends);
     registry.setCounter("net.backpressure_stalls",
                         n.backpressureStalls);
     registry.setCounter("net.sheds", n.shedOps);

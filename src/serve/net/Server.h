@@ -91,6 +91,7 @@ struct NetStats
     std::uint64_t protocolErrors = 0;
     std::uint64_t bytesIn = 0;
     std::uint64_t bytesOut = 0;
+    std::uint64_t sends = 0;
     std::uint64_t backpressureStalls = 0;
     std::uint64_t shedOps = 0;
     std::uint64_t idleClosed = 0;

@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <typeinfo>
@@ -20,6 +21,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -102,7 +104,7 @@ TEST(NetRespParser, DecodesWellFormedAndRejectsMalformed)
          {{"GET", ""}},
          false},
         {"binary-safe bulk",
-         std::string("*2\r\n$3\r\nGET\r\n$4\r\na\r\nb\r\n", 26),
+         std::string("*2\r\n$3\r\nGET\r\n$4\r\na\r\nb\r\n", 23),
          {{"GET", std::string("a\r\nb", 4)}},
          false},
         {"inline command",
@@ -588,6 +590,7 @@ TEST(NetServeLoopback, CommandsRoundTripAgainstARealServer)
     EXPECT_EQ(parsed.stores, live.stores);
     EXPECT_EQ(parsed.missCostNs, live.missCostNs);
     EXPECT_GT(parsed.gets, 0u);
+    EXPECT_NE(info.text.find("\nsends:"), std::string::npos);
 
     server.stop();
     const NetStats stats = server.stats();
@@ -597,20 +600,20 @@ TEST(NetServeLoopback, CommandsRoundTripAgainstARealServer)
     EXPECT_EQ(stats.protocolErrors, 0u);
     EXPECT_GT(stats.bytesIn, 0u);
     EXPECT_GT(stats.bytesOut, 0u);
+    EXPECT_GT(stats.sends, 0u);
     EXPECT_GT(stats.wireLatencyNs.totalCount(), 0u);
 }
 
 namespace
 {
 
-/** Write raw bytes to a fresh loopback socket and slurp everything
- *  the server says until it hangs up. */
-std::string
-rawExchange(std::uint16_t port, const std::string &bytes)
+/** A blocking loopback socket connected to @p port; -1 on failure. */
+int
+loopbackSocket(std::uint16_t port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
-        return "";
+        return -1;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -618,8 +621,14 @@ rawExchange(std::uint16_t port, const std::string &bytes)
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         ::close(fd);
-        return "";
+        return -1;
     }
+    return fd;
+}
+
+void
+sendAll(int fd, const std::string &bytes)
+{
     std::size_t sent = 0;
     while (sent < bytes.size()) {
         const ssize_t n = ::send(fd, bytes.data() + sent,
@@ -628,6 +637,17 @@ rawExchange(std::uint16_t port, const std::string &bytes)
             break;
         sent += static_cast<std::size_t>(n);
     }
+}
+
+/** Write raw bytes to a fresh loopback socket and slurp everything
+ *  the server says until it hangs up. */
+std::string
+rawExchange(std::uint16_t port, const std::string &bytes)
+{
+    const int fd = loopbackSocket(port);
+    if (fd < 0)
+        return "";
+    sendAll(fd, bytes);
     std::string reply;
     char chunk[4096];
     while (true) {
@@ -668,10 +688,157 @@ TEST(NetServeLoopback, ProtocolErrorGetsAReplyThenTheBoot)
     EXPECT_EQ(stats.protocolErrors, 1u);
 }
 
-TEST(NetClientLoadTest, WireRunMatchesInProcessTotalsExactly)
+namespace
 {
-    // One server, locked hit path (the deterministic reference).
+
+std::string
+getFrame(Addr key)
+{
+    const std::string k = std::to_string(key);
+    return "*2\r\n$3\r\nGET\r\n$" + std::to_string(k.size()) + "\r\n" +
+           k + "\r\n";
+}
+
+std::string
+bulkFrame(std::uint64_t value)
+{
+    const std::string v = std::to_string(value);
+    return "$" + std::to_string(v.size()) + "\r\n" + v + "\r\n";
+}
+
+} // namespace
+
+TEST(NetServeLoopback, PipelinedHitsLeaveInOneSend)
+{
+    SyntheticBackend backend(SyntheticBackendConfig{});
+    CacheService service(tinyServeConfig(), backend);
+    NetServer server(service, NetServerConfig{});
+    server.start();
+
+    RespClient client("127.0.0.1", server.port(), 10.0);
+    constexpr int kKeys = 64;
+    for (int i = 0; i < kKeys; ++i)
+        ASSERT_EQ(client.roundTrip({"GET", std::to_string(i)}).type, '$');
+
+    // Every reply of one decoded batch of hits leaves in one send(2);
+    // one send per reply would count 64.
+    const std::uint64_t hitsBefore = service.totals().hits;
+    const std::uint64_t sendsBefore = server.stats().sends;
+    for (int i = 0; i < kKeys; ++i)
+        client.send({"GET", std::to_string(i)});
+    client.flush();
+    for (int i = 0; i < kKeys; ++i) {
+        const auto reply = client.readReply();
+        ASSERT_EQ(reply.type, '$') << "reply " << i;
+        EXPECT_EQ(reply.text,
+                  std::to_string(backend.valueOf(static_cast<Addr>(i))))
+            << "reply " << i;
+    }
+    EXPECT_EQ(service.totals().hits - hitsBefore,
+              static_cast<std::uint64_t>(kKeys));
+    EXPECT_LE(server.stats().sends - sendsBefore, 2u);
+    server.stop();
+}
+
+TEST(NetServeLoopback, HeldMissAtPipelineHeadHoldsEveryReply)
+{
+    ScriptedBackend backend;
+    CacheService service(tinyServeConfig(), backend);
+    NetServer server(service, NetServerConfig{});
+    server.start();
+
+    constexpr Addr kMiss = 987654;
+    constexpr int kHits = 8;
+    {
+        RespClient warm("127.0.0.1", server.port(), 10.0);
+        for (int i = 0; i < kHits; ++i)
+            ASSERT_EQ(warm.roundTrip({"GET", std::to_string(i)}).type,
+                      '$');
+    }
+
+    const int fd = loopbackSocket(server.port());
+    ASSERT_GE(fd, 0);
+    timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+    // [GET miss (held), GET hit x 8] in one write: the hits complete
+    // inline, but their slots queue behind the miss, so nothing may
+    // reach the socket until the held fetch completes off-thread.
+    std::string request = getFrame(kMiss);
+    std::string expected = bulkFrame(backend.valueOf(kMiss));
+    for (int i = 0; i < kHits; ++i) {
+        request += getFrame(static_cast<Addr>(i));
+        expected += bulkFrame(backend.valueOf(static_cast<Addr>(i)));
+    }
+    const std::uint64_t getsBefore = server.stats().cmdGet;
+    backend.hold();
+    sendAll(fd, request);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().cmdGet - getsBefore < kHits + 1u &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(server.stats().cmdGet - getsBefore, kHits + 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    char probe[64];
+    EXPECT_LT(::recv(fd, probe, sizeof(probe), MSG_DONTWAIT), 0)
+        << "a reply left while the head of the pipeline was held";
+
+    // The release completes the miss outside any decode pass; that
+    // completion must send the whole ready prefix by itself.
+    const std::uint64_t sendsBefore = server.stats().sends;
+    backend.release();
+    std::string got;
+    char chunk[4096];
+    while (got.size() < expected.size()) {
+        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (n <= 0)
+            break;
+        got.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(got, expected);
+    EXPECT_LE(server.stats().sends - sendsBefore, 2u);
+    server.stop();
+}
+
+TEST(NetServeLoopback, WriteWatermarkStallResumesWithoutNewInput)
+{
+    SyntheticBackend backend(SyntheticBackendConfig{});
+    CacheService service(tinyServeConfig(), backend);
+    NetServerConfig net_config;
+    // Two 39-byte PING replies trip the watermark, so one pipelined
+    // write stalls its decode pass again and again.  Each flush that
+    // drains the buffer must resume decoding: no new EPOLLIN is
+    // coming for the bytes already read.
+    net_config.tuning.writeWatermark = 64;
+    NetServer server(service, net_config);
+    server.start();
+
+    RespClient client("127.0.0.1", server.port(), 10.0);
+    const std::string payload(32, 'x');
+    constexpr int kPings = 64;
+    for (int i = 0; i < kPings; ++i)
+        client.send({"PING", payload});
+    client.flush();
+    for (int i = 0; i < kPings; ++i)
+        ASSERT_EQ(client.readReply().text, payload) << "reply " << i;
+    server.stop();
+}
+
+namespace
+{
+
+/**
+ * Run the harness stream over the wire (2 net workers, 3
+ * connections) and in-process, and require the deterministic totals
+ * to agree number for number.
+ */
+void
+expectWireMatchesInProcess(unsigned stripes, std::size_t pipeline)
+{
     ServeConfig serve_config = tinyServeConfig();
+    serve_config.stripes = stripes;
     SyntheticBackendConfig backend_config;
     backend_config.seed = 7;
     SyntheticBackend backend(backend_config);
@@ -686,7 +853,7 @@ TEST(NetClientLoadTest, WireRunMatchesInProcessTotalsExactly)
     client_config.host = "127.0.0.1";
     client_config.port = server.port();
     client_config.connections = 3;
-    client_config.pipeline = 16;
+    client_config.pipeline = pipeline;
     client_config.serverShards = serve_config.shards;
     client_config.harness.ops = 20000;
     client_config.harness.seed = 7;
@@ -721,6 +888,35 @@ TEST(NetClientLoadTest, WireRunMatchesInProcessTotalsExactly)
     EXPECT_EQ(wire.harness.totals.storeCostNs,
               local.totals.storeCostNs);
 }
+
+} // namespace
+
+TEST(NetClientLoadTest, WireRunMatchesInProcessTotalsExactly)
+{
+    expectWireMatchesInProcess(1, 16);
+}
+
+/** (stripes, pipeline): the CI loopback job's shape, under ctest. */
+class NetClientLoadTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>>
+{
+};
+
+TEST_P(NetClientLoadTest, WireMatchesInProcessAtEveryShape)
+{
+    expectWireMatchesInProcess(std::get<0>(GetParam()),
+                               std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CiLoopback, NetClientLoadTest,
+    ::testing::Combine(::testing::Values(1u, 4u),
+                       ::testing::Values(std::size_t{16},
+                                         std::size_t{64})),
+    [](const auto &info) {
+        return "stripes" + std::to_string(std::get<0>(info.param)) +
+               "_pipeline" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(NetClientLoadTest, ShardPartitionMatchesTheService)
 {
