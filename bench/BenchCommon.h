@@ -247,13 +247,12 @@ latencyHistogramTable(
 {
     TextTable table(title);
     table.setHeader({"Series", "Samples", "p50 (ns)", "p90 (ns)",
-                     "p99 (ns)", "overflow"});
+                     "p99 (ns)"});
     for (const auto &[label, hist] : rows) {
         table.addRow({label, TextTable::count(hist->totalCount()),
                       TextTable::num(hist->percentile(0.50), 1),
                       TextTable::num(hist->percentile(0.90), 1),
-                      TextTable::num(hist->percentile(0.99), 1),
-                      TextTable::count(hist->overflow())});
+                      TextTable::num(hist->percentile(0.99), 1)});
     }
     return table;
 }

@@ -41,8 +41,8 @@ main(int argc, char **argv)
                 return benchmarkName(res.cell.benchmark);
             },
             [](const SweepCellResult &res) {
-                return "x" +
-                       TextTable::num(res.cell.depreciationFactor, 1);
+                return std::string("x").append(
+                    TextTable::num(res.cell.depreciationFactor, 1));
             },
             bench::savingsOf);
         table.print(std::cout);

@@ -128,14 +128,9 @@ class CacheController
     std::unordered_map<Addr, Mshr> mshrs_;
     StatGroup stats_;
     RunningStat missLatency_;
+    Histogram missLatencyHist_;
 
   public:
-    /** Shape of the per-node miss-latency histogram; every node uses
-     *  the same buckets so NumaResult can merge them. */
-    static constexpr double kMissLatencyHistLoNs = 0.0;
-    static constexpr double kMissLatencyHistHiNs = 3200.0;
-    static constexpr std::size_t kMissLatencyHistBuckets = 64;
-
     /** Measured miss latencies (ns). */
     const RunningStat &missLatencyStat() const { return missLatency_; }
 
@@ -144,10 +139,6 @@ class CacheController
     {
         return missLatencyHist_;
     }
-
-  private:
-    Histogram missLatencyHist_{kMissLatencyHistLoNs, kMissLatencyHistHiNs,
-                               kMissLatencyHistBuckets};
 };
 
 } // namespace csr

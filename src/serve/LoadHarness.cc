@@ -25,12 +25,6 @@ namespace
 /** Per-worker accumulators, merged after the pool drains. */
 struct WorkerOutput
 {
-    WorkerOutput(double hist_max_ns, std::size_t buckets)
-        : opLatencyNs(0.0, hist_max_ns, buckets),
-          missLatencyNs(0.0, hist_max_ns, buckets)
-    {
-    }
-
     Histogram opLatencyNs;
     Histogram missLatencyNs;
 };
@@ -101,10 +95,6 @@ HarnessConfig::fromArgs(const CliArgs &args)
 void
 HarnessConfig::validate() const
 {
-    if (histBuckets == 0)
-        throw ConfigError("latency histogram needs at least one bucket");
-    if (histMaxNs <= 0.0)
-        throw ConfigError("latency histogram upper edge must be > 0");
     if (targetQps < 0.0)
         throw ConfigError("target QPS must be non-negative");
 }
@@ -136,19 +126,22 @@ HarnessResult::summaryTable(const std::string &title) const
 TextTable
 HarnessResult::timingTable() const
 {
+    // A run that measured nothing (no wall clock, no samples) prints
+    // "-" rather than a zero it never observed.
+    const auto us = [](const Histogram &h, double frac) {
+        return h.totalCount() ? TextTable::num(h.percentile(frac) / 1e3, 2)
+                              : std::string("-");
+    };
+    const bool timed = wallSec > 0.0;
     TextTable table("timing (wall-clock; varies run to run)");
     table.setHeader({"metric", "value"});
     table.addRow({"workers", TextTable::count(workers)});
-    table.addRow({"wall s", TextTable::num(wallSec, 3)});
-    table.addRow({"qps", TextTable::num(qps, 0)});
-    table.addRow(
-        {"op latency p50 us", TextTable::num(opLatencyNs.percentile(0.50) / 1e3, 2)});
-    table.addRow(
-        {"op latency p90 us", TextTable::num(opLatencyNs.percentile(0.90) / 1e3, 2)});
-    table.addRow(
-        {"op latency p99 us", TextTable::num(opLatencyNs.percentile(0.99) / 1e3, 2)});
-    table.addRow(
-        {"miss cost p99 us", TextTable::num(missLatencyNs.percentile(0.99) / 1e3, 2)});
+    table.addRow({"wall s", timed ? TextTable::num(wallSec, 3) : "-"});
+    table.addRow({"qps", timed ? TextTable::num(qps, 0) : "-"});
+    table.addRow({"op latency p50 us", us(opLatencyNs, 0.50)});
+    table.addRow({"op latency p90 us", us(opLatencyNs, 0.90)});
+    table.addRow({"op latency p99 us", us(opLatencyNs, 0.99)});
+    table.addRow({"miss cost p99 us", us(missLatencyNs, 0.99)});
     return table;
 }
 
@@ -281,10 +274,7 @@ runLoad(CacheService &service, const HarnessConfig &config)
         }
     }
 
-    std::vector<WorkerOutput> outputs;
-    outputs.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        outputs.emplace_back(config.histMaxNs, config.histBuckets);
+    std::vector<WorkerOutput> outputs(workers);
 
     // Closed-loop pacing: each worker owns a 1/workers slice of the
     // aggregate target rate and spaces its ops on a fixed schedule
@@ -344,7 +334,7 @@ runLoad(CacheService &service, const HarnessConfig &config)
         parallelFor(pool, workers, worker_fn);
     }
 
-    HarnessResult result(config.histMaxNs, config.histBuckets);
+    HarnessResult result;
     result.wallSec = wall.elapsedSec();
     result.ops = total_ops;
     result.workers = workers;

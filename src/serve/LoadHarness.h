@@ -70,9 +70,6 @@ struct HarnessConfig
      *  simulated latency is then already inside the measured op time
      *  and must not be added again. */
     bool backendIsReal = false;
-    /** Shape of the latency histograms. */
-    double histMaxNs = 131072.0;
-    std::size_t histBuckets = 1024;
 
     /**
      * Read --ops --workers --qps --affinity --spin --replay plus the
@@ -83,7 +80,7 @@ struct HarnessConfig
      */
     static HarnessConfig fromArgs(const CliArgs &args);
 
-    /** @throws ConfigError on invalid pacing/histogram parameters. */
+    /** @throws ConfigError on invalid pacing parameters. */
     void validate() const;
 };
 
@@ -96,12 +93,6 @@ std::uint64_t harnessPayload(std::uint64_t seed, Addr key);
 /** Everything one harness run produced. */
 struct HarnessResult
 {
-    HarnessResult(double hist_max_ns, std::size_t buckets)
-        : opLatencyNs(0.0, hist_max_ns, buckets),
-          missLatencyNs(0.0, hist_max_ns, buckets)
-    {
-    }
-
     ServeTotals totals;      ///< deterministic service counters
     std::uint64_t ops = 0;
     unsigned workers = 1;

@@ -27,11 +27,6 @@ namespace
 /** Per-connection accumulators, merged after the threads join. */
 struct ConnOutput
 {
-    ConnOutput(double hist_max_ns, std::size_t buckets)
-        : opLatencyNs(0.0, hist_max_ns, buckets)
-    {
-    }
-
     std::uint64_t gets = 0;
     std::uint64_t sets = 0;
     std::uint64_t dels = 0;
@@ -146,11 +141,7 @@ runClientLoad(const ClientConfig &config)
         }
     }
 
-    std::vector<ConnOutput> outputs;
-    outputs.reserve(config.connections);
-    for (unsigned c = 0; c < config.connections; ++c)
-        outputs.emplace_back(config.harness.histMaxNs,
-                             config.harness.histBuckets);
+    std::vector<ConnOutput> outputs(config.connections);
 
     // Worker threads may throw (refused connect, timeout); the first
     // exception wins and is rethrown on the caller's thread.
@@ -238,8 +229,7 @@ runClientLoad(const ClientConfig &config)
     if (failed.load())
         std::rethrow_exception(failure);
 
-    ClientResult result(config.harness.histMaxNs,
-                        config.harness.histBuckets);
+    ClientResult result;
     result.harness.wallSec = wall.elapsedSec();
     result.harness.ops = total_ops;
     result.harness.workers = config.connections;

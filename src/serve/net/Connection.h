@@ -125,7 +125,7 @@ struct WorkerStats
     std::atomic<std::uint64_t> chaosDeferredAccepts{0};
     std::atomic<std::uint64_t> chaosResets{0};
     /** Decode-to-reply-ready time per request; loop thread only. */
-    Histogram wireLatencyNs{0.0, 1.0e7, 512};
+    Histogram wireLatencyNs;
 };
 
 /** Everything a Connection borrows from its server + worker. */

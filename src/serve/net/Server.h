@@ -101,7 +101,7 @@ struct NetStats
     std::uint64_t chaosDeferredAccepts = 0;
     std::uint64_t chaosResets = 0;
     /** Complete only after stop() (loop-thread-local until then). */
-    Histogram wireLatencyNs{0.0, 1.0e7, 512};
+    Histogram wireLatencyNs;
 };
 
 /** What one graceful drain accomplished (the net.drain.* block). */

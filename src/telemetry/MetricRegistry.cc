@@ -51,23 +51,6 @@ MetricRegistry::recordTimerSec(std::string_view name, double seconds)
     it->second.add(seconds);
 }
 
-Histogram &
-MetricRegistry::histogram(std::string_view name, double lo, double hi,
-                          std::size_t buckets)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histograms_.lower_bound(name);
-    if (it == histograms_.end() || it->first != name) {
-        it = histograms_.emplace_hint(it, std::string(name),
-                                      Histogram(lo, hi, buckets));
-    } else {
-        csr_assert(it->second.sameShape(Histogram(lo, hi, buckets)),
-                   "histogram '%.*s' re-registered with another shape",
-                   static_cast<int>(name.size()), name.data());
-    }
-    return it->second;
-}
-
 void
 MetricRegistry::importCounters(const StatGroup &group,
                                const std::string &prefix)
@@ -92,9 +75,6 @@ MetricRegistry::mergeHistogram(std::string_view name,
         histograms_.emplace_hint(it, std::string(name), other);
         return;
     }
-    csr_assert(it->second.sameShape(other),
-               "histogram '%.*s' merged with another shape",
-               static_cast<int>(name.size()), name.data());
     it->second.merge(other);
 }
 
@@ -266,13 +246,10 @@ MetricRegistry::writeJson(std::ostream &os) const
         os << (first ? "\n    " : ",\n    ");
         first = false;
         writeJsonString(os, name);
-        os << ": {\"lo\": " << numStr(value.bucketLo(0))
-           << ", \"bucketWidth\": " << numStr(value.bucketWidth())
-           << ", \"underflow\": " << value.underflow()
-           << ", \"overflow\": " << value.overflow() << ", \"counts\": [";
-        for (std::size_t i = 0; i < value.numBuckets(); ++i)
-            os << (i ? ", " : "") << value.bucketCount(i);
-        os << "]}";
+        os << ": {\"count\": " << value.totalCount()
+           << ", \"p50\": " << numStr(value.percentile(0.50))
+           << ", \"p90\": " << numStr(value.percentile(0.90))
+           << ", \"p99\": " << numStr(value.percentile(0.99)) << "}";
     }
     if (!histograms_.empty())
         os << "\n  ";

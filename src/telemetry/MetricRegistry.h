@@ -16,15 +16,14 @@
  *     "stats":      { "name": {"count":..,"mean":..,"stddev":..,
  *                              "min":..,"max":..}, ... },
  *     "timersSec":  { same shape as stats, unit seconds },
- *     "histograms": { "name": {"lo":..,"bucketWidth":..,
- *                              "underflow":..,"overflow":..,
- *                              "counts":[..]}, ... }
+ *     "histograms": { "name": {"count":..,"p50":..,"p90":..,
+ *                              "p99":..}, ... }
  *   }
  *
  * The registry is a reporting-path object: build/merge it after a run
  * (or from one thread), then dump it.  Map mutations are mutex-
  * guarded so concurrent import is safe, but references returned by
- * stat()/histogram() are only safe to mutate single-threaded.
+ * stat() are only safe to mutate single-threaded.
  */
 
 #ifndef CSR_TELEMETRY_METRICREGISTRY_H
@@ -61,11 +60,6 @@ class MetricRegistry
     /** Named timer: a RunningStat of seconds. */
     void recordTimerSec(std::string_view name, double seconds);
 
-    /** Named histogram; created with the given shape if absent (an
-     *  existing histogram keeps its shape; fatal on a shape clash). */
-    Histogram &histogram(std::string_view name, double lo, double hi,
-                         std::size_t buckets);
-
     // --- merging ----------------------------------------------------------
 
     /** Import every counter of @p group as "<prefix><name>". */
@@ -74,7 +68,7 @@ class MetricRegistry
     /** Merge @p other into the named stat. */
     void mergeStat(std::string_view name, const RunningStat &other);
     /** Merge @p other into the named histogram (created as a copy if
-     *  absent; fatal on a shape clash). */
+     *  absent). */
     void mergeHistogram(std::string_view name, const Histogram &other);
     /** Merge every metric of @p other into this registry. */
     void merge(const MetricRegistry &other);

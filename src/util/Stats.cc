@@ -1,9 +1,8 @@
 #include "util/Stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-
-#include "util/Logging.h"
 
 namespace csr
 {
@@ -65,55 +64,38 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    csr_assert(hi > lo && buckets > 0, "bad histogram shape");
-}
-
 void
 Histogram::add(double x, std::uint64_t weight)
 {
-    if (x < lo_) {
-        underflow_ += weight;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) {
-        overflow_ += weight;
-        return;
-    }
-    counts_[idx] += weight;
+    // 2^64 as a double; the cast below is undefined at or past it.
+    constexpr double kTop = 18446744073709551616.0;
+    std::uint64_t v = 0;
+    if (x >= kTop)
+        v = ~std::uint64_t{0};
+    else if (x > 0.0) // false for NaN too
+        v = static_cast<std::uint64_t>(x);
+    // Keep v's top kSubBits + 1 bits: its leading 1, whose octave the
+    // shift counts, and the kSubBits below it, which pick the linear
+    // sub-bucket.  Below 2^(kSubBits + 1) nothing is shifted out and v
+    // indexes directly, so the exact and log-linear ranges join with
+    // no gap.
+    const int shift =
+        std::max(0, 64 - kSubBits - 1 - std::countl_zero(v));
+    counts_[(static_cast<std::size_t>(shift) << kSubBits) + (v >> shift)] +=
+        weight;
 }
 
 void
 Histogram::merge(const Histogram &other)
 {
-    csr_assert(sameShape(other), "merging histograms of different shape");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
+    for (std::size_t i = 0; i < kBuckets; ++i)
         counts_[i] += other.counts_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = overflow_ = 0;
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
 }
 
 std::uint64_t
 Histogram::totalCount() const
 {
-    std::uint64_t total = underflow_ + overflow_;
+    std::uint64_t total = 0;
     for (auto c : counts_)
         total += c;
     return total;
@@ -124,28 +106,26 @@ Histogram::percentile(double frac) const
 {
     const std::uint64_t total = totalCount();
     if (total == 0)
-        return lo_;
+        return 0.0;
     frac = std::clamp(frac, 0.0, 1.0);
-    // Rank of the sample that realizes the percentile, 1-based.  The
-    // ceiling (with a floor of one, so p0 means "the smallest
-    // sample") keeps the old near-median behaviour while pinning the
-    // endpoints: p100 lands on the last populated bucket instead of
-    // overshooting, p0 on the first instead of always reporting
-    // bucket 0's edge.
-    auto target = static_cast<std::uint64_t>(
-        std::ceil(frac * static_cast<double>(total)));
-    if (target == 0)
-        target = 1;
-    if (target <= underflow_)
-        return lo_;
-    std::uint64_t seen = underflow_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
+    // 1-based rank of the sample that realizes the percentile; the
+    // floor of one makes p0 the smallest sample.
+    const auto target = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(frac * static_cast<double>(total))));
+    std::uint64_t seen = 0;
+    std::size_t i = 0;
+    for (; i + 1 < kBuckets; ++i) {
         seen += counts_[i];
         if (seen >= target)
-            return bucketLo(i) + width_;
+            break;
     }
-    // The remaining mass sits in the overflow bucket.
-    return bucketLo(counts_.size() - 1) + width_;
+    // Invert add(): bucket i covers [lo, lo + width).
+    const int shift = std::max(0, static_cast<int>(i >> kSubBits) - 1);
+    const auto lo = static_cast<double>(
+        (i - (static_cast<std::size_t>(shift) << kSubBits)) << shift);
+    const auto width = static_cast<double>(std::uint64_t{1} << shift);
+    return lo + (width - 1.0) / 2.0;
 }
 
 void

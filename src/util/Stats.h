@@ -4,20 +4,20 @@
  *
  * The simulators accumulate large numbers of per-event samples (miss
  * latencies, reservation outcomes, per-set activity).  These helpers
- * provide numerically stable means/variances, fixed-bucket histograms
+ * provide numerically stable means/variances, log-linear histograms
  * and a named-counter registry that benches can dump uniformly.
  */
 
 #ifndef CSR_UTIL_STATS_H
 #define CSR_UTIL_STATS_H
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace csr
 {
@@ -55,50 +55,35 @@ class RunningStat
 };
 
 /**
- * Fixed-width bucket histogram over [lo, hi) with overflow/underflow
- * buckets.  Used e.g. for miss-latency distributions.
+ * Log-linear histogram of non-negative samples (nanoseconds, by
+ * convention).  Values below 64 are counted exactly; above that each
+ * power of two splits into 32 equal sub-buckets, so no bucket is wider
+ * than 1/32 of its lower edge, all the way up to 2^64.  The layout is
+ * fixed: any two histograms merge, and no sample is ever clamped.
  */
 class Histogram
 {
   public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
+    /** Count @p weight samples of @p x, truncated to an integer;
+     *  negative values and NaN count as 0, values at or past 2^64 in
+     *  the top bucket. */
     void add(double x, std::uint64_t weight = 1);
-    void reset();
 
-    /** Merge another histogram of identical shape (parallel
-     *  reduction); panics on a shape mismatch. */
+    /** Add every sample of @p other (parallel reduction). */
     void merge(const Histogram &other);
 
-    /** True when both histograms cover the same buckets. */
-    bool sameShape(const Histogram &other) const
-    {
-        return lo_ == other.lo_ && width_ == other.width_ &&
-               counts_.size() == other.counts_.size();
-    }
-
-    std::size_t numBuckets() const { return counts_.size(); }
-    double bucketWidth() const { return width_; }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    /** Inclusive lower edge of bucket i. */
-    double bucketLo(std::size_t i) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
     std::uint64_t totalCount() const;
-    /** Smallest value v such that at least frac of the mass is <= v
-     *  (approximated at bucket granularity).  @p frac is clamped to
-     *  [0,1]; an empty histogram reports lo(), p0 the first populated
-     *  bucket's upper edge (lo() when the mass starts in the
-     *  underflow bucket), and p100 the last populated bucket's upper
-     *  edge (the top edge when mass overflows). */
+    /** A value inside the bucket that holds the rank-ceil(frac * n)
+     *  sample (rank 1 at frac 0): its midpoint, exact below 64.
+     *  @p frac is clamped to [0,1]; an empty histogram reports 0. */
     double percentile(double frac) const;
 
   private:
-    double lo_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
+    static constexpr int kSubBits = 5; ///< 32 sub-buckets per octave
+    static constexpr std::size_t kBuckets = (64 - kSubBits + 1)
+                                            << kSubBits;
+
+    std::array<std::uint64_t, kBuckets> counts_{};
 };
 
 /**

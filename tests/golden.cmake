@@ -2,6 +2,7 @@
 # tests/CMakeLists.txt under the ctest label "golden" and run as
 #
 #   cmake -DCASE=<case> -DCSRSIM=<csrsim> -DCSRTRACE=<csrtrace>
+#         -DCSRSERVE=<csrserve> -DSERVE_OPS=<ops>
 #         -DSOURCE_DIR=<repo> -DWORK_DIR=<scratch dir> -P golden.cmake
 #
 # Cases:
@@ -12,6 +13,13 @@
 #                   is byte-identical to example.csrt, and `csrsim
 #                   replay` of it prints example_replay.txt at --jobs 1
 #                   and --jobs 4.
+#   sweep_jobs      `csrsim sweep` of a 24-cell test-scale grid prints
+#                   the same table at --jobs 1 and --jobs 4.
+#   serve_workers   Under shard affinity the `csrserve` summary is
+#                   byte-identical for any worker count (DESIGN.md
+#                   §3.4) and any stripe count (§3.6): for lru and acl,
+#                   SERVE_OPS ops at seed 7, workers 1 vs 8 at stripes
+#                   1 and 4, and stripes 1 vs 4 at one worker.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -69,6 +77,34 @@ elseif(CASE STREQUAL "replay_example")
     file(READ "${traces}/example_replay.txt" golden)
     expect_same("replay --jobs 1 summary" "${golden}" "${jobs1}")
     expect_same("replay --jobs 4 summary" "${golden}" "${jobs4}")
+elseif(CASE STREQUAL "sweep_jobs")
+    # The grid's ';' would split it as a CMake list if it went through
+    # run()'s ARGN, so the sweep is run here, quoted.
+    string(CONCAT grid "benchmarks=lu,barnes;policies=gd,dcl;"
+        "mappings=random,first-touch;ratios=4,inf;hafs=0.1,0.3;scale=test")
+    foreach(jobs 1 4)
+        execute_process(COMMAND "${CSRSIM}" sweep --grid "${grid}"
+            --jobs ${jobs}
+            OUTPUT_VARIABLE jobs${jobs} ERROR_VARIABLE err
+            RESULT_VARIABLE rc)
+        if(NOT rc EQUAL 0)
+            message(FATAL_ERROR "exit ${rc}: sweep --jobs ${jobs}\n${err}")
+        endif()
+    endforeach()
+    expect_same("sweep --jobs 4 table" "${jobs1}" "${jobs4}")
+elseif(CASE STREQUAL "serve_workers")
+    foreach(policy lru acl)
+        foreach(stripes 1 4)
+            foreach(workers 1 8)
+                run(s${stripes}_w${workers} "${CSRSERVE}" --policy ${policy}
+                    --workload zipf --ops ${SERVE_OPS} --keys 65536
+                    --seed 7 --workers ${workers} --stripes ${stripes})
+            endforeach()
+            expect_same("${policy} --stripes ${stripes} --workers 8 summary"
+                "${s${stripes}_w1}" "${s${stripes}_w8}")
+        endforeach()
+        expect_same("${policy} --stripes 4 summary" "${s1_w1}" "${s4_w1}")
+    endforeach()
 else()
     message(FATAL_ERROR "unknown golden case '${CASE}'")
 endif()

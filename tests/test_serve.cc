@@ -591,11 +591,22 @@ TEST(LoadHarness, RejectsBadConfig)
     SyntheticBackend backend(SyntheticBackendConfig{});
     CacheService service(smallServeConfig(PolicyKind::Lru), backend);
     HarnessConfig config = smallHarnessConfig(100, 1);
-    config.histBuckets = 0;
-    EXPECT_THROW(runLoad(service, config), ConfigError);
-    config = smallHarnessConfig(100, 1);
     config.targetQps = -1.0;
     EXPECT_THROW(runLoad(service, config), ConfigError);
+}
+
+TEST(LoadHarness, SlowTierMissCostP99IsNotClamped)
+{
+    SyntheticBackendConfig backend_config;
+    backend_config.slowNs = 400'000.0;
+    backend_config.slowFraction = 0.3;
+    SyntheticBackend backend(backend_config);
+    CacheService service(smallServeConfig(PolicyKind::Lru), backend);
+    const HarnessResult result =
+        runLoad(service, smallHarnessConfig(20'000, 1));
+    // Under LRU about 30% of misses hit the slow tier (400 us +- 10%
+    // jitter), so the p99 miss cost sits near its top.
+    EXPECT_GE(result.missLatencyNs.percentile(0.99), 350'000.0);
 }
 
 // ---------------------------------------------------------------------------

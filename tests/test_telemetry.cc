@@ -361,7 +361,9 @@ TEST(MetricRegistry, CountersStatsTimersHistograms)
     registry.stat("a.stat").add(1.0);
     registry.stat("a.stat").add(3.0);
     registry.recordTimerSec("a.timer", 0.25);
-    registry.histogram("a.hist", 0.0, 10.0, 5).add(4.0);
+    Histogram hist;
+    hist.add(4.0);
+    registry.mergeHistogram("a.hist", hist);
 
     EXPECT_EQ(registry.counter("a.count"), 5u);
     EXPECT_EQ(registry.counter("a.fixed"), 7u);
@@ -378,7 +380,10 @@ TEST(MetricRegistry, WritesValidJsonSchema)
     registry.incCounter("counter.one", 11);
     registry.stat("stat.one").add(2.5);
     registry.recordTimerSec("timer.one", 1.5);
-    registry.histogram("hist.one", 0.0, 8.0, 4).add(3.0);
+    Histogram hist;
+    hist.add(3.0);
+    hist.add(40.0);
+    registry.mergeHistogram("hist.one", hist);
 
     std::ostringstream os;
     registry.writeJson(os);
@@ -390,6 +395,12 @@ TEST(MetricRegistry, WritesValidJsonSchema)
          {"\"counters\"", "\"stats\"", "\"timersSec\"", "\"histograms\""})
         EXPECT_NE(json.find(section), std::string::npos) << section;
     EXPECT_NE(json.find("\"counter.one\": 11"), std::string::npos);
+    // A histogram is its sample count and percentiles, not buckets.
+    EXPECT_NE(json.find("\"hist.one\": {\"count\": 2, \"p50\": 3, "
+                        "\"p90\": 40, \"p99\": 40}"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("\"counts\""), std::string::npos);
 }
 
 TEST(MetricRegistry, MergeCombinesEveryKind)
@@ -399,14 +410,18 @@ TEST(MetricRegistry, MergeCombinesEveryKind)
     b.incCounter("c", 2);
     a.stat("s").add(1.0);
     b.stat("s").add(3.0);
-    a.histogram("h", 0.0, 10.0, 5).add(1.0);
-    b.histogram("h", 0.0, 10.0, 5).add(9.0);
+    Histogram ha, hb;
+    ha.add(1.0);
+    hb.add(9.0);
+    a.mergeHistogram("h", ha);
+    b.mergeHistogram("h", hb);
 
     a.merge(b);
     EXPECT_EQ(a.counter("c"), 3u);
     EXPECT_EQ(a.statOf("s").count(), 2u);
     EXPECT_DOUBLE_EQ(a.statOf("s").mean(), 2.0);
     EXPECT_EQ(a.histogramOf("h")->totalCount(), 2u);
+    EXPECT_EQ(a.histogramOf("h")->percentile(1.0), 9.0);
 }
 
 TEST(MetricRegistry, ImportCountersPrefixesStatGroup)

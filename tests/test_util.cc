@@ -228,70 +228,114 @@ TEST(RunningStat, EmptyIsZero)
 
 TEST(Histogram, BucketsAndOverflow)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1);        // underflow
-    h.add(0.5);       // bucket 0
-    h.add(9.99);      // bucket 9
-    h.add(10.0);      // overflow
-    h.add(3.2, 5);    // bucket 3, weight 5
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(3), 5u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.totalCount(), 9u);
+    Histogram h;
+    h.add(-1);        // negative: counts as 0
+    h.add(3.2, 5);    // weight 5
+    h.add(1.0e12);    // far past any fixed range, still a finite bucket
+    EXPECT_EQ(h.totalCount(), 7u);
+    EXPECT_EQ(h.percentile(0.0), 0.0);
+    EXPECT_EQ(h.percentile(0.5), 3.0);
+    EXPECT_NEAR(h.percentile(1.0), 1.0e12, 1.0e12 / 32);
 }
 
 TEST(Histogram, Percentile)
 {
-    Histogram h(0.0, 100.0, 100);
+    Histogram h;
     for (int i = 0; i < 100; ++i)
         h.add(i + 0.5);
     EXPECT_NEAR(h.percentile(0.5), 50.0, 2.0);
     EXPECT_NEAR(h.percentile(0.9), 90.0, 2.0);
+
+    Histogram wide;
+    for (int i = 1; i <= 1000; ++i)
+        wide.add(i * 1000.0);
+    EXPECT_NEAR(wide.percentile(0.5), 500'000.0, 500'000.0 / 32);
+    EXPECT_NEAR(wide.percentile(0.99), 990'000.0, 990'000.0 / 32);
 }
 
 TEST(Histogram, PercentileOfEmptyHistogramIsLowerEdge)
 {
-    Histogram h(10.0, 20.0, 5);
-    EXPECT_EQ(h.percentile(0.0), 10.0);
-    EXPECT_EQ(h.percentile(0.5), 10.0);
-    EXPECT_EQ(h.percentile(1.0), 10.0);
+    Histogram h;
+    EXPECT_EQ(h.percentile(0.0), 0.0);
+    EXPECT_EQ(h.percentile(0.5), 0.0);
+    EXPECT_EQ(h.percentile(1.0), 0.0);
 }
 
 TEST(Histogram, PercentileEndpoints)
 {
-    Histogram h(0.0, 100.0, 100);
+    Histogram h;
     h.add(30.5);
     h.add(60.5);
-    // p0 is the first populated bucket's upper edge, p100 the last's.
-    EXPECT_EQ(h.percentile(0.0), 31.0);
-    EXPECT_EQ(h.percentile(1.0), 61.0);
+    // p0 is the smallest sample, p100 the largest (exact below 64).
+    EXPECT_EQ(h.percentile(0.0), 30.0);
+    EXPECT_EQ(h.percentile(1.0), 60.0);
     // Out-of-range fractions clamp instead of misbehaving.
-    EXPECT_EQ(h.percentile(-0.5), 31.0);
-    EXPECT_EQ(h.percentile(1.5), 61.0);
+    EXPECT_EQ(h.percentile(-0.5), 30.0);
+    EXPECT_EQ(h.percentile(1.5), 60.0);
 }
 
 TEST(Histogram, PercentileWithUnderflowAndOverflowMass)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0, 4); // 40% of the mass below the range
+    Histogram h;
+    h.add(-5.0, 4); // 40% of the mass below zero
     h.add(5.5, 2);
-    h.add(100.0, 4); // 40% above it
-    // Mass in the underflow bucket reports the histogram's lower
-    // edge; mass beyond the top reports the top edge.
+    h.add(1.0e30, 4); // 40% at or past 2^64
+    // Negative samples read as 0; samples past 2^64 land in the top
+    // bucket, which reads within 1/32 of 2^64.
+    const double top = 18446744073709551616.0;
     EXPECT_EQ(h.percentile(0.0), 0.0);
     EXPECT_EQ(h.percentile(0.3), 0.0);
-    EXPECT_EQ(h.percentile(0.5), 6.0);
-    EXPECT_EQ(h.percentile(1.0), 10.0);
+    EXPECT_EQ(h.percentile(0.5), 5.0);
+    EXPECT_NEAR(h.percentile(1.0), top, top / 32);
 }
 
 TEST(Histogram, PercentileSingleSample)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(3.5);
-    for (double frac : {0.0, 0.25, 0.5, 1.0})
-        EXPECT_EQ(h.percentile(frac), 4.0);
+    for (double x : {3.0, 123'456.0}) {
+        Histogram h;
+        h.add(x);
+        const double first = h.percentile(0.0);
+        EXPECT_NEAR(first, x, x / 32);
+        for (double frac : {0.25, 0.5, 1.0})
+            EXPECT_EQ(h.percentile(frac), first);
+    }
+}
+
+TEST(Histogram, MergeEqualsSingleStream)
+{
+    Histogram whole;
+    Histogram parts[3];
+    std::uint64_t x = 12345;
+    for (int i = 0; i < 30'000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        // Spread the samples over ~20 octaves.
+        const double v = static_cast<double>(x >> (40 + i % 20));
+        whole.add(v);
+        parts[i % 3].add(v);
+    }
+    Histogram merged;
+    for (const Histogram &part : parts)
+        merged.merge(part);
+    EXPECT_EQ(merged.totalCount(), whole.totalCount());
+    for (int q = 0; q <= 1000; ++q)
+        EXPECT_EQ(merged.percentile(q / 1000.0),
+                  whole.percentile(q / 1000.0))
+            << "q = " << q / 1000.0;
+}
+
+TEST(Histogram, RelativeErrorBounded)
+{
+    for (int e = 0; e <= 40; ++e) {
+        const auto base = std::uint64_t{1} << e;
+        for (std::uint64_t v : {base, base + base / 3, 2 * base - 1}) {
+            Histogram h;
+            h.add(static_cast<double>(v));
+            const double got = h.percentile(0.5);
+            const auto want = static_cast<double>(v);
+            EXPECT_LE(std::abs(got - want), want / 32)
+                << "value " << v << " read back as " << got;
+        }
+    }
 }
 
 TEST(StatGroup, IncrementAndRead)

@@ -373,12 +373,14 @@ runServer(const CliArgs &args)
     // The summary is the service's view: the same deterministic
     // totals an in-process run of the same op stream prints.  The
     // shed count is the net tier's -- the service never sees a shed
-    // command, so the fold happens here.
-    HarnessResult result(HarnessConfig{}.histMaxNs,
-                         HarnessConfig{}.histBuckets);
+    // command, so the fold happens here.  The server has no wall
+    // clock of its own to report; its op latency is the wire latency
+    // (decode to reply ready).
+    HarnessResult result;
     result.totals = service.totals();
     const net::NetStats net_stats = server.stats();
     result.totals.shedOps = net_stats.shedOps;
+    result.opLatencyNs = net_stats.wireLatencyNs;
     result.ops = result.totals.gets + result.totals.stores;
     result.workers = net_config.workers;
     report(args, result, service.policyName(), "wire",
@@ -408,8 +410,7 @@ int
 runClient(const CliArgs &args)
 {
     const net::ClientConfig config = net::ClientConfig::fromArgs(args);
-    net::ClientResult result(config.harness.histMaxNs,
-                             config.harness.histBuckets);
+    net::ClientResult result;
     {
         const TraceSession session(args.tracePath());
         result = net::runClientLoad(config);
@@ -464,8 +465,7 @@ runInProcess(const CliArgs &args)
     RecordSession recorder(service, args.get("record", ""));
     const HarnessConfig harness_config = HarnessConfig::fromArgs(args);
 
-    HarnessResult result(harness_config.histMaxNs,
-                         harness_config.histBuckets);
+    HarnessResult result;
     {
         const TraceSession session(args.tracePath());
         result = runLoad(service, harness_config);
