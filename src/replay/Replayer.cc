@@ -1,7 +1,6 @@
 #include "replay/Replayer.h"
 
 #include <chrono>
-#include <cstdio>
 #include <ostream>
 
 #include "cache/CacheModel.h"
@@ -14,16 +13,6 @@ namespace csr::replay
 
 namespace
 {
-
-/** Full precision, so bit-identical doubles print identically (CI
- *  diffs replay JSON across --jobs counts). */
-std::string
-numFull(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /** Per-job replay state: a private model (its own policy instance)
  *  plus private counters, merged by summation afterwards. */
@@ -203,19 +192,12 @@ replayTrace(const ReplayConfig &config)
     result.jobs = jobs;
     result.wallSec =
         std::chrono::duration<double>(t1 - t0).count();
-    for (const JobState &s : states) {
-        ReplayTotals &t = result.totals;
-        t.ops += s.totals.ops;
-        t.gets += s.totals.gets;
-        t.sets += s.totals.sets;
-        t.dels += s.totals.dels;
-        t.hits += s.totals.hits;
-        t.misses += s.totals.misses;
-        t.setHits += s.totals.setHits;
-        t.evictions += s.totals.evictions;
-        t.missCostNs += s.totals.missCostNs;
-        t.storeCostNs += s.totals.storeCostNs;
-    }
+    for (const JobState &s : states)
+        forEachReplayCounter(
+            [](const char *, std::uint64_t &sum, std::uint64_t part) {
+                sum += part;
+            },
+            result.totals, s.totals);
     return result;
 }
 
@@ -269,26 +251,26 @@ ReplayResult::writeJsonObject(std::ostream &os,
     os << pad << "{\n"
        << in << "\"policy\": \"" << policy << "\",\n"
        << in << "\"traceRecords\": " << traceRecords << ",\n"
-       << in << "\"deterministic\": {\n"
-       << in2 << "\"ops\": " << totals.ops << ",\n"
-       << in2 << "\"gets\": " << totals.gets << ",\n"
-       << in2 << "\"sets\": " << totals.sets << ",\n"
-       << in2 << "\"dels\": " << totals.dels << ",\n"
-       << in2 << "\"hits\": " << totals.hits << ",\n"
-       << in2 << "\"misses\": " << totals.misses << ",\n"
-       << in2 << "\"hitRatio\": " << numFull(totals.hitRatio())
-       << ",\n"
-       << in2 << "\"setHits\": " << totals.setHits << ",\n"
-       << in2 << "\"evictions\": " << totals.evictions << ",\n"
-       << in2 << "\"missCostNs\": " << totals.missCostNs << ",\n"
-       << in2 << "\"storeCostNs\": " << totals.storeCostNs << "\n"
+       << in << "\"deterministic\": {\n";
+    const char *sep = "";
+    forEachReplayCounter(
+        [&](const char *key, const auto &v) {
+            os << sep << in2 << '"' << key
+               << "\": " << TextTable::numFull(v);
+            sep = ",\n";
+        },
+        totals);
+    os << "\n"
        << in << "},\n"
        // Wall-clock block: check_bench skips the "timing" subtree.
        << in << "\"timing\": {\n"
        << in2 << "\"jobs\": " << jobs << ",\n"
-       << in2 << "\"wallSec\": " << numFull(wallSec) << ",\n"
-       << in2 << "\"opsPerSec\": " << numFull(opsPerSec()) << ",\n"
-       << in2 << "\"opsPerMin\": " << numFull(opsPerMin()) << "\n"
+       << in2 << "\"wallSec\": " << TextTable::numFull(wallSec)
+       << ",\n"
+       << in2 << "\"opsPerSec\": " << TextTable::numFull(opsPerSec())
+       << ",\n"
+       << in2 << "\"opsPerMin\": " << TextTable::numFull(opsPerMin())
+       << "\n"
        << in << "}\n"
        << pad << "}";
 }

@@ -104,6 +104,28 @@ struct ReplayTotals
     }
 };
 
+/** The one list of ReplayTotals counters, in --json order: calls
+ *  @p visit(key, field...) per counter with its JSON name and that
+ *  member of each object in @p o.  hitRatio does not sum, so only a
+ *  one-object walk visits it (as a temporary). */
+template <typename Visit, typename... T>
+void
+forEachReplayCounter(Visit &&visit, T &...o)
+{
+    visit("ops", o.ops...);
+    visit("gets", o.gets...);
+    visit("sets", o.sets...);
+    visit("dels", o.dels...);
+    visit("hits", o.hits...);
+    visit("misses", o.misses...);
+    if constexpr (sizeof...(T) == 1)
+        visit("hitRatio", o.hitRatio()...);
+    visit("setHits", o.setHits...);
+    visit("evictions", o.evictions...);
+    visit("missCostNs", o.missCostNs...);
+    visit("storeCostNs", o.storeCostNs...);
+}
+
 /** Everything one replay run produced. */
 struct ReplayResult
 {

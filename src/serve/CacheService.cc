@@ -609,35 +609,15 @@ CacheService::totals() const
         for (const auto &stripe_ptr : shard_ptr->stripes) {
             Stripe &stripe = *stripe_ptr;
             std::lock_guard<std::mutex> lock(stripe.mutex);
-            totals.gets +=
-                stripe.gets.load(std::memory_order_relaxed);
-            totals.hits +=
-                stripe.hits.load(std::memory_order_relaxed);
-            totals.misses +=
-                stripe.misses.load(std::memory_order_relaxed);
-            totals.stores +=
-                stripe.stores.load(std::memory_order_relaxed);
-            totals.storeHits +=
-                stripe.storeHits.load(std::memory_order_relaxed);
-            totals.evictions +=
-                stripe.evictions.load(std::memory_order_relaxed);
+            forEachServeCounter(
+                [](const char *, const char *, std::uint64_t &sum,
+                   const std::atomic<std::uint64_t> &count) {
+                    sum += count.load(std::memory_order_relaxed);
+                },
+                totals, stripe);
             totals.trackedKeys += stripe.keys.size();
             totals.missCostNs += stripe.missCostNs;
             totals.storeCostNs += stripe.storeCostNs;
-            totals.seqlockHits +=
-                stripe.seqlockHits.load(std::memory_order_relaxed);
-            totals.seqlockRetries +=
-                stripe.seqlockRetries.load(std::memory_order_relaxed);
-            totals.lockedFallbacks += stripe.lockedFallbacks.load(
-                std::memory_order_relaxed);
-            totals.logFullFallbacks += stripe.logFullFallbacks.load(
-                std::memory_order_relaxed);
-            totals.backendFetches +=
-                stripe.backendFetches.load(std::memory_order_relaxed);
-            totals.coalescedMisses += stripe.coalescedMisses.load(
-                std::memory_order_relaxed);
-            totals.staleServes +=
-                stripe.staleServes.load(std::memory_order_relaxed);
         }
         totals.breakerOpens += shard_ptr->breaker->opens();
         totals.breakerFastFails += shard_ptr->breaker->fastFails();
@@ -681,36 +661,15 @@ void
 CacheService::exportMetrics(MetricRegistry &registry) const
 {
     const ServeTotals totals = this->totals();
-    registry.setCounter("serve.gets", totals.gets);
-    registry.setCounter("serve.hits", totals.hits);
-    registry.setCounter("serve.misses", totals.misses);
-    registry.setCounter("serve.stores", totals.stores);
-    registry.setCounter("serve.store_hits", totals.storeHits);
-    registry.setCounter("serve.evictions", totals.evictions);
-    registry.setCounter("serve.tracked_keys", totals.trackedKeys);
-    registry.setCounter(
-        "serve.miss_cost_ns",
-        static_cast<std::uint64_t>(totals.missCostNs));
-    registry.setCounter(
-        "serve.store_cost_ns",
-        static_cast<std::uint64_t>(totals.storeCostNs));
+    forEachServeCounter(
+        [&registry](const char *, const char *metric, const auto &value) {
+            if (metric)
+                registry.setCounter(metric,
+                                    static_cast<std::uint64_t>(value));
+        },
+        totals);
     registry.setCounter("serve.shards", config_.shards);
     registry.setCounter("serve.stripes", config_.stripes);
-    registry.setCounter("serve.seqlock_hits", totals.seqlockHits);
-    registry.setCounter("serve.seqlock_retries",
-                        totals.seqlockRetries);
-    registry.setCounter("serve.locked_fallbacks",
-                        totals.lockedFallbacks);
-    registry.setCounter("serve.log_full_fallbacks",
-                        totals.logFullFallbacks);
-    registry.setCounter("serve.backend_fetches",
-                        totals.backendFetches);
-    registry.setCounter("serve.coalesced_misses",
-                        totals.coalescedMisses);
-    registry.setCounter("serve.breaker_opens", totals.breakerOpens);
-    registry.setCounter("serve.breaker_fast_fails",
-                        totals.breakerFastFails);
-    registry.setCounter("serve.stale_serves", totals.staleServes);
 
     RunningStat ewma;
     for (const auto &shard_ptr : shards_) {

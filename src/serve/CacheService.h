@@ -52,6 +52,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/PolicyFactory.h"
@@ -194,6 +195,8 @@ struct ServeTotals
     std::uint64_t breakerFastFails = 0; ///< fetches refused while open
     std::uint64_t staleServes = 0;      ///< stale values served while open
 
+    bool operator==(const ServeTotals &) const = default;
+
     double
     hitRatio() const
     {
@@ -202,6 +205,74 @@ struct ServeTotals
                     : 0.0;
     }
 };
+
+/** True when no Stripe rides along in a ServeTotals list walk. */
+template <typename... T>
+inline constexpr bool kAllServeTotals =
+    (std::is_same_v<std::remove_const_t<T>, ServeTotals> && ...);
+
+/** forEachServeCounter's first half: --json's "deterministic". */
+template <typename Visit, typename... T>
+void
+forEachDeterministicCounter(Visit &&visit, T &...o)
+{
+    visit("gets", "serve.gets", o.gets...);
+    visit("hits", "serve.hits", o.hits...);
+    visit("misses", "serve.misses", o.misses...);
+    if constexpr (kAllServeTotals<T...>)
+        visit("hitRatio", nullptr, o.hitRatio()...);
+    visit("stores", "serve.stores", o.stores...);
+    visit("storeHits", "serve.store_hits", o.storeHits...);
+    visit("evictions", "serve.evictions", o.evictions...);
+    if constexpr (kAllServeTotals<T...>) {
+        visit("trackedKeys", "serve.tracked_keys", o.trackedKeys...);
+        visit("missCostNs", "serve.miss_cost_ns", o.missCostNs...);
+        visit("storeCostNs", "serve.store_cost_ns", o.storeCostNs...);
+    }
+}
+
+/** forEachServeCounter's second half: --json's "concurrency". */
+template <typename Visit, typename... T>
+void
+forEachConcurrencyCounter(Visit &&visit, T &...o)
+{
+    visit("seqlockHits", "serve.seqlock_hits", o.seqlockHits...);
+    visit("seqlockRetries", "serve.seqlock_retries",
+          o.seqlockRetries...);
+    visit("lockedFallbacks", "serve.locked_fallbacks",
+          o.lockedFallbacks...);
+    visit("logFullFallbacks", "serve.log_full_fallbacks",
+          o.logFullFallbacks...);
+    visit("backendFetches", "serve.backend_fetches",
+          o.backendFetches...);
+    visit("coalescedMisses", "serve.coalesced_misses",
+          o.coalescedMisses...);
+    if constexpr (kAllServeTotals<T...>) {
+        // The net tier's count, exported there as net.sheds.
+        visit("shedOps", nullptr, o.shedOps...);
+        visit("breakerOpens", "serve.breaker_opens", o.breakerOpens...);
+        visit("breakerFastFails", "serve.breaker_fast_fails",
+              o.breakerFastFails...);
+    }
+    visit("staleServes", "serve.stale_serves", o.staleServes...);
+}
+
+/**
+ * The one list of ServeTotals counters, in INFO and --json order:
+ * calls @p visit(key, metric, field...) per counter with its
+ * INFO/--json name, its --metrics name (nullptr: not exported as
+ * "serve.") and that member of each object in @p o.  A new counter
+ * is one row here.  A Stripe may follow a ServeTotals (its atomics
+ * carry the same names); rows no stripe atomic backs are then
+ * skipped.  hitRatio is derived, so its field is a temporary.
+ */
+template <typename Visit, typename... T>
+void
+forEachServeCounter(Visit &&visit, T &...o)
+{
+    forEachDeterministicCounter(visit, o...);
+    forEachConcurrencyCounter(visit, o...);
+}
 
 class CacheService
 {

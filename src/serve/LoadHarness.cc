@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <ostream>
 #include <thread>
 #include <vector>
@@ -28,24 +27,6 @@ struct WorkerOutput
     Histogram opLatencyNs;
     Histogram missLatencyNs;
 };
-
-/** Full precision, so bit-identical doubles print identically (the
- *  CI determinism check diffs this output across worker counts). */
-std::string
-numFull(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-numShort(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
 
 } // namespace
 
@@ -154,52 +135,43 @@ HarnessResult::writeJsonObject(std::ostream &os,
     const std::string pad(static_cast<std::size_t>(indent), ' ');
     const std::string in = pad + "  ";
     const std::string in2 = in + "  ";
+    // Each counter block is one half of the ServeTotals list, a
+    // `"key": value` line per row.
+    const char *sep = "";
+    const auto member = [&](const char *key, const char *,
+                            const auto &v) {
+        os << sep << in2 << '"' << key
+           << "\": " << TextTable::numFull(v);
+        sep = ",\n";
+    };
     os << "{\n"
        << in << "\"policy\": \"" << policy << "\",\n"
        << in << "\"workload\": \"" << workload << "\",\n"
        << in << "\"ops\": " << ops << ",\n"
        << in << "\"workers\": " << workers << ",\n"
-       << in << "\"deterministic\": {\n"
-       << in2 << "\"gets\": " << totals.gets << ",\n"
-       << in2 << "\"hits\": " << totals.hits << ",\n"
-       << in2 << "\"misses\": " << totals.misses << ",\n"
-       << in2 << "\"hitRatio\": " << numFull(totals.hitRatio()) << ",\n"
-       << in2 << "\"stores\": " << totals.stores << ",\n"
-       << in2 << "\"storeHits\": " << totals.storeHits << ",\n"
-       << in2 << "\"evictions\": " << totals.evictions << ",\n"
-       << in2 << "\"trackedKeys\": " << totals.trackedKeys << ",\n"
-       << in2 << "\"missCostNs\": " << numFull(totals.missCostNs) << ",\n"
-       << in2 << "\"storeCostNs\": " << numFull(totals.storeCostNs) << "\n"
-       << in << "},\n"
-       // Deterministic while no two callers contend for a stripe (all
-       // zero except backendFetches == misses); scheduling-dependent
-       // otherwise, hence a block of its own.
-       << in << "\"concurrency\": {\n"
-       << in2 << "\"seqlockHits\": " << totals.seqlockHits << ",\n"
-       << in2 << "\"seqlockRetries\": " << totals.seqlockRetries << ",\n"
-       << in2 << "\"lockedFallbacks\": " << totals.lockedFallbacks << ",\n"
-       << in2 << "\"logFullFallbacks\": " << totals.logFullFallbacks << ",\n"
-       << in2 << "\"backendFetches\": " << totals.backendFetches << ",\n"
-       << in2 << "\"coalescedMisses\": " << totals.coalescedMisses << ",\n"
-       // Robustness counters: all zero on a healthy, unshed run with
-       // the backend behaving, so the deterministic baselines carry
-       // them as zeroes.
-       << in2 << "\"shedOps\": " << totals.shedOps << ",\n"
-       << in2 << "\"breakerOpens\": " << totals.breakerOpens << ",\n"
-       << in2 << "\"breakerFastFails\": " << totals.breakerFastFails << ",\n"
-       << in2 << "\"staleServes\": " << totals.staleServes << "\n"
+       << in << "\"deterministic\": {\n";
+    forEachDeterministicCounter(member, totals);
+    // Deterministic while no two callers contend for a stripe (all
+    // zero except backendFetches == misses); scheduling-dependent
+    // otherwise, hence a block of its own.  Its robustness counters
+    // are all zero on a healthy, unshed run with the backend
+    // behaving, so the deterministic baselines carry them as zeroes.
+    os << "\n" << in << "},\n" << in << "\"concurrency\": {\n";
+    sep = "";
+    forEachConcurrencyCounter(member, totals);
+    const auto p = [](const Histogram &h, double frac) {
+        return TextTable::numShort(h.percentile(frac));
+    };
+    os << "\n"
        << in << "},\n"
        << in << "\"timing\": {\n"
-       << in2 << "\"wallSec\": " << numShort(wallSec) << ",\n"
-       << in2 << "\"qps\": " << numShort(qps) << ",\n"
-       << in2 << "\"opLatencyNs\": {\"p50\": "
-       << numShort(opLatencyNs.percentile(0.50))
-       << ", \"p90\": " << numShort(opLatencyNs.percentile(0.90))
-       << ", \"p99\": " << numShort(opLatencyNs.percentile(0.99)) << "},\n"
-       << in2 << "\"missLatencyNs\": {\"p50\": "
-       << numShort(missLatencyNs.percentile(0.50))
-       << ", \"p99\": " << numShort(missLatencyNs.percentile(0.99))
-       << "}\n"
+       << in2 << "\"wallSec\": " << TextTable::numShort(wallSec) << ",\n"
+       << in2 << "\"qps\": " << TextTable::numShort(qps) << ",\n"
+       << in2 << "\"opLatencyNs\": {\"p50\": " << p(opLatencyNs, 0.50)
+       << ", \"p90\": " << p(opLatencyNs, 0.90)
+       << ", \"p99\": " << p(opLatencyNs, 0.99) << "},\n"
+       << in2 << "\"missLatencyNs\": {\"p50\": " << p(missLatencyNs, 0.50)
+       << ", \"p99\": " << p(missLatencyNs, 0.99) << "}\n"
        << in << "}\n"
        << pad << "}";
 }

@@ -2,10 +2,12 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
+#include <map>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <string_view>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -15,33 +17,10 @@
 #include "telemetry/Telemetry.h"
 #include "util/CliArgs.h"
 #include "util/Logging.h"
+#include "util/Table.h"
 
 namespace csr::serve::net
 {
-
-namespace
-{
-
-/** Full-precision double, identical to the harness's JSON spelling,
- *  so a client-side summary reproduces the server's numbers. */
-std::string
-numFull(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-void
-line(std::string &out, const char *key, std::uint64_t v)
-{
-    out += key;
-    out += ':';
-    out += std::to_string(v);
-    out += '\n';
-}
-
-} // namespace
 
 NetServerConfig
 NetServerConfig::fromArgs(const CliArgs &args)
@@ -396,40 +375,14 @@ NetServer::stats() const
 {
     NetStats total;
     for (const auto &worker : workers_) {
-        const WorkerStats &s = worker->stats;
-        total.connectionsAccepted +=
-            s.connectionsAccepted.load(std::memory_order_relaxed);
-        total.connectionsClosed +=
-            s.connectionsClosed.load(std::memory_order_relaxed);
-        total.cmdGet += s.cmdGet.load(std::memory_order_relaxed);
-        total.cmdSet += s.cmdSet.load(std::memory_order_relaxed);
-        total.cmdDel += s.cmdDel.load(std::memory_order_relaxed);
-        total.cmdPing += s.cmdPing.load(std::memory_order_relaxed);
-        total.cmdInfo += s.cmdInfo.load(std::memory_order_relaxed);
-        total.errorReplies +=
-            s.errorReplies.load(std::memory_order_relaxed);
-        total.protocolErrors +=
-            s.protocolErrors.load(std::memory_order_relaxed);
-        total.bytesIn += s.bytesIn.load(std::memory_order_relaxed);
-        total.bytesOut += s.bytesOut.load(std::memory_order_relaxed);
-        total.sends += s.sends.load(std::memory_order_relaxed);
-        total.backpressureStalls +=
-            s.backpressureStalls.load(std::memory_order_relaxed);
-        total.shedOps += s.shedOps.load(std::memory_order_relaxed);
-        total.idleClosed +=
-            s.idleClosed.load(std::memory_order_relaxed);
-        total.deadlineClosed +=
-            s.deadlineClosed.load(std::memory_order_relaxed);
-        total.capacityRejections +=
-            s.capacityRejections.load(std::memory_order_relaxed);
-        total.chaosShortWrites +=
-            s.chaosShortWrites.load(std::memory_order_relaxed);
-        total.chaosDeferredAccepts +=
-            s.chaosDeferredAccepts.load(std::memory_order_relaxed);
-        total.chaosResets +=
-            s.chaosResets.load(std::memory_order_relaxed);
+        forEachNetCounter(
+            [](const char *, const char *, std::uint64_t &sum,
+               const std::atomic<std::uint64_t> &count) {
+                sum += count.load(std::memory_order_relaxed);
+            },
+            total, worker->stats);
         if (!running_.load(std::memory_order_acquire))
-            total.wireLatencyNs.merge(s.wireLatencyNs);
+            total.wireLatencyNs.merge(worker->stats.wireLatencyNs);
     }
     return total;
 }
@@ -437,57 +390,23 @@ NetServer::stats() const
 std::string
 NetServer::infoText() const
 {
-    const ServeTotals t = service_.totals();
+    ServeTotals t = service_.totals();
     const NetStats n = stats();
-    std::string out;
-    out.reserve(768);
-    out += "# serve\n";
-    out += "policy:" + service_.policyName() + "\n";
-    line(out, "shards", service_.numShards());
-    line(out, "stripes", service_.numStripes());
-    line(out, "gets", t.gets);
-    line(out, "hits", t.hits);
-    line(out, "misses", t.misses);
-    out += "hitRatio:" + numFull(t.hitRatio()) + "\n";
-    line(out, "stores", t.stores);
-    line(out, "storeHits", t.storeHits);
-    line(out, "evictions", t.evictions);
-    line(out, "trackedKeys", t.trackedKeys);
-    out += "missCostNs:" + numFull(t.missCostNs) + "\n";
-    out += "storeCostNs:" + numFull(t.storeCostNs) + "\n";
-    line(out, "seqlockHits", t.seqlockHits);
-    line(out, "seqlockRetries", t.seqlockRetries);
-    line(out, "lockedFallbacks", t.lockedFallbacks);
-    line(out, "logFullFallbacks", t.logFullFallbacks);
-    line(out, "backendFetches", t.backendFetches);
-    line(out, "coalescedMisses", t.coalescedMisses);
-    // The robustness block: shedOps is folded in from the net tier
-    // (the service itself never sheds), the rest come from the
-    // service's breakers and stale-serve counters.
-    line(out, "shedOps", n.shedOps);
-    line(out, "breakerOpens", t.breakerOpens);
-    line(out, "breakerFastFails", t.breakerFastFails);
-    line(out, "staleServes", t.staleServes);
+    // The service never sheds; the net tier's count is folded in.
+    t.shedOps = n.shedOps;
+    // Doubles at full precision, the --json spelling, so a
+    // client-side summary reproduces the server's numbers.
+    std::string out = "# serve\npolicy:" + service_.policyName() + "\n";
+    const auto row = [&out](const char *key, const char *,
+                            const auto &v) {
+        if (key)
+            out += std::string(key) + ':' + TextTable::numFull(v) + '\n';
+    };
+    row("shards", nullptr, std::uint64_t{service_.numShards()});
+    row("stripes", nullptr, std::uint64_t{service_.numStripes()});
+    forEachServeCounter(row, t);
     out += "# net\n";
-    line(out, "connectionsAccepted", n.connectionsAccepted);
-    line(out, "connectionsClosed", n.connectionsClosed);
-    line(out, "cmdGet", n.cmdGet);
-    line(out, "cmdSet", n.cmdSet);
-    line(out, "cmdDel", n.cmdDel);
-    line(out, "cmdPing", n.cmdPing);
-    line(out, "cmdInfo", n.cmdInfo);
-    line(out, "errorReplies", n.errorReplies);
-    line(out, "protocolErrors", n.protocolErrors);
-    line(out, "bytesIn", n.bytesIn);
-    line(out, "bytesOut", n.bytesOut);
-    line(out, "sends", n.sends);
-    line(out, "backpressureStalls", n.backpressureStalls);
-    line(out, "idleClosed", n.idleClosed);
-    line(out, "deadlineClosed", n.deadlineClosed);
-    line(out, "capacityRejections", n.capacityRejections);
-    line(out, "chaosShortWrites", n.chaosShortWrites);
-    line(out, "chaosDeferredAccepts", n.chaosDeferredAccepts);
-    line(out, "chaosResets", n.chaosResets);
+    forEachNetCounter(row, n);
     return out;
 }
 
@@ -495,32 +414,12 @@ void
 NetServer::exportMetrics(MetricRegistry &registry) const
 {
     const NetStats n = stats();
-    registry.setCounter("net.connections.accepted",
-                        n.connectionsAccepted);
-    registry.setCounter("net.connections.closed",
-                        n.connectionsClosed);
-    registry.setCounter("net.cmd.get", n.cmdGet);
-    registry.setCounter("net.cmd.set", n.cmdSet);
-    registry.setCounter("net.cmd.del", n.cmdDel);
-    registry.setCounter("net.cmd.ping", n.cmdPing);
-    registry.setCounter("net.cmd.info", n.cmdInfo);
-    registry.setCounter("net.error_replies", n.errorReplies);
-    registry.setCounter("net.protocol_errors", n.protocolErrors);
-    registry.setCounter("net.bytes.in", n.bytesIn);
-    registry.setCounter("net.bytes.out", n.bytesOut);
-    registry.setCounter("net.sends", n.sends);
-    registry.setCounter("net.backpressure_stalls",
-                        n.backpressureStalls);
-    registry.setCounter("net.sheds", n.shedOps);
-    registry.setCounter("net.idle_closed", n.idleClosed);
-    registry.setCounter("net.deadline_closed", n.deadlineClosed);
-    registry.setCounter("net.capacity_rejections",
-                        n.capacityRejections);
-    registry.setCounter("net.chaos.short_writes",
-                        n.chaosShortWrites);
-    registry.setCounter("net.chaos.deferred_accepts",
-                        n.chaosDeferredAccepts);
-    registry.setCounter("net.chaos.resets", n.chaosResets);
+    forEachNetCounter(
+        [&registry](const char *, const char *metric,
+                    std::uint64_t value) {
+            registry.setCounter(metric, value);
+        },
+        n);
     registry.setCounter("net.drain.drained_conns",
                         lastDrain_.drainedConns);
     registry.setCounter("net.drain.forced_closes",
@@ -537,68 +436,48 @@ NetServer::exportMetrics(MetricRegistry &registry) const
 ServeTotals
 parseInfoTotals(const std::string &info)
 {
-    ServeTotals t;
-    std::size_t at = 0;
+    // Collect the "# serve" section's rows, then read every listed
+    // counter out of them.
+    std::map<std::string, std::string, std::less<>> rows;
+    bool has_serve = false;
     bool in_serve = false;
+    std::size_t at = 0;
     while (at < info.size()) {
         std::size_t end = info.find('\n', at);
         if (end == std::string::npos)
             end = info.size();
-        const std::string row = info.substr(at, end - at);
+        const std::string_view row(info.data() + at, end - at);
         at = end + 1;
         if (!row.empty() && row[0] == '#') {
             in_serve = row == "# serve";
+            has_serve = has_serve || in_serve;
             continue;
         }
-        if (!in_serve)
-            continue;
         const std::size_t colon = row.find(':');
-        if (colon == std::string::npos)
-            continue;
-        const std::string key = row.substr(0, colon);
-        const std::string value = row.substr(colon + 1);
-        const auto u64 = [&value]() -> std::uint64_t {
-            return std::strtoull(value.c_str(), nullptr, 10);
-        };
-        if (key == "gets")
-            t.gets = u64();
-        else if (key == "hits")
-            t.hits = u64();
-        else if (key == "misses")
-            t.misses = u64();
-        else if (key == "stores")
-            t.stores = u64();
-        else if (key == "storeHits")
-            t.storeHits = u64();
-        else if (key == "evictions")
-            t.evictions = u64();
-        else if (key == "trackedKeys")
-            t.trackedKeys = u64();
-        else if (key == "missCostNs")
-            t.missCostNs = std::strtod(value.c_str(), nullptr);
-        else if (key == "storeCostNs")
-            t.storeCostNs = std::strtod(value.c_str(), nullptr);
-        else if (key == "seqlockHits")
-            t.seqlockHits = u64();
-        else if (key == "seqlockRetries")
-            t.seqlockRetries = u64();
-        else if (key == "lockedFallbacks")
-            t.lockedFallbacks = u64();
-        else if (key == "logFullFallbacks")
-            t.logFullFallbacks = u64();
-        else if (key == "backendFetches")
-            t.backendFetches = u64();
-        else if (key == "coalescedMisses")
-            t.coalescedMisses = u64();
-        else if (key == "shedOps")
-            t.shedOps = u64();
-        else if (key == "breakerOpens")
-            t.breakerOpens = u64();
-        else if (key == "breakerFastFails")
-            t.breakerFastFails = u64();
-        else if (key == "staleServes")
-            t.staleServes = u64();
+        if (in_serve && colon != std::string_view::npos)
+            rows.emplace(row.substr(0, colon), row.substr(colon + 1));
     }
+    if (!has_serve)
+        throw NetError("INFO reply has no \"# serve\" section");
+
+    ServeTotals t;
+    // hitRatio's field is a temporary: it is checked like any row,
+    // then dropped (it is derived from gets and hits).
+    forEachServeCounter(
+        [&rows](const char *key, const char *, auto &&field) {
+            const auto it = rows.find(key);
+            if (it == rows.end())
+                throw NetError(std::string("INFO \"# serve\" has no '") +
+                               key + "' row");
+            const std::string &text = it->second;
+            const char *last = text.data() + text.size();
+            const auto [ptr, ec] =
+                std::from_chars(text.data(), last, field);
+            if (ec != std::errc() || ptr != last)
+                throw NetError(std::string("INFO key '") + key +
+                               "' has malformed value '" + text + "'");
+        },
+        t);
     return t;
 }
 

@@ -104,6 +104,42 @@ struct NetStats
     Histogram wireLatencyNs;
 };
 
+/** The one list of NetStats counters, in INFO order; visited as
+ *  forEachServeCounter's are.  A WorkerStats's atomics carry the
+ *  same names.  A nullptr key: INFO reports the counter elsewhere. */
+template <typename Visit, typename... T>
+void
+forEachNetCounter(Visit &&visit, T &...o)
+{
+    visit("connectionsAccepted", "net.connections.accepted",
+          o.connectionsAccepted...);
+    visit("connectionsClosed", "net.connections.closed",
+          o.connectionsClosed...);
+    visit("cmdGet", "net.cmd.get", o.cmdGet...);
+    visit("cmdSet", "net.cmd.set", o.cmdSet...);
+    visit("cmdDel", "net.cmd.del", o.cmdDel...);
+    visit("cmdPing", "net.cmd.ping", o.cmdPing...);
+    visit("cmdInfo", "net.cmd.info", o.cmdInfo...);
+    visit("errorReplies", "net.error_replies", o.errorReplies...);
+    visit("protocolErrors", "net.protocol_errors", o.protocolErrors...);
+    visit("bytesIn", "net.bytes.in", o.bytesIn...);
+    visit("bytesOut", "net.bytes.out", o.bytesOut...);
+    visit("sends", "net.sends", o.sends...);
+    visit("backpressureStalls", "net.backpressure_stalls",
+          o.backpressureStalls...);
+    // INFO reports it in "# serve", as ServeTotals::shedOps.
+    visit(nullptr, "net.sheds", o.shedOps...);
+    visit("idleClosed", "net.idle_closed", o.idleClosed...);
+    visit("deadlineClosed", "net.deadline_closed", o.deadlineClosed...);
+    visit("capacityRejections", "net.capacity_rejections",
+          o.capacityRejections...);
+    visit("chaosShortWrites", "net.chaos.short_writes",
+          o.chaosShortWrites...);
+    visit("chaosDeferredAccepts", "net.chaos.deferred_accepts",
+          o.chaosDeferredAccepts...);
+    visit("chaosResets", "net.chaos.resets", o.chaosResets...);
+}
+
 /** What one graceful drain accomplished (the net.drain.* block). */
 struct DrainReport
 {
@@ -214,7 +250,9 @@ class NetServer
  * Parse an INFO payload's "# serve" section back into ServeTotals
  * (the network client's side of the metrics loop: the harness prints
  * the same summary table from a wire run as from an in-process one).
- * Unknown lines are ignored; missing keys stay zero.
+ * Unknown keys are ignored.  @throws NetError naming what is wrong
+ * when the section is missing, or a listed counter is missing or not
+ * a well-formed number.
  */
 ServeTotals parseInfoTotals(const std::string &info);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -35,6 +36,28 @@ TextTable::num(double v, int decimals)
     std::ostringstream oss;
     oss << std::fixed << std::setprecision(decimals) << v;
     return oss.str();
+}
+
+std::string
+TextTable::numFull(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
+TextTable::numFull(std::uint64_t v)
+{
+    return std::to_string(v);
+}
+
+std::string
+TextTable::numShort(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
 }
 
 std::string

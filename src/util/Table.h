@@ -40,6 +40,15 @@ class TextTable
     /** Format a double with the given number of decimals. */
     static std::string num(double v, int decimals = 2);
 
+    /** Full precision ("%.17g"), so bit-identical doubles print
+     *  identically: the determinism diffs, INFO and the JSON writers
+     *  all spell doubles this way.  An integer prints in decimal. */
+    static std::string numFull(double v);
+    static std::string numFull(std::uint64_t v);
+
+    /** Six significant digits ("%.6g"), for wall-clock numbers. */
+    static std::string numShort(double v);
+
     /** Format an integer with thousands separators. */
     static std::string count(std::uint64_t v);
 

@@ -20,6 +20,15 @@
 #                   §3.4) and any stripe count (§3.6): for lru and acl,
 #                   SERVE_OPS ops at seed 7, workers 1 vs 8 at stripes
 #                   1 and 4, and stripes 1 vs 4 at one worker.
+#   serve_wire      Over RESP on loopback (DESIGN.md §3.7), `csrserve
+#                   --connect` against a fresh `csrserve --listen`
+#                   prints the in-process acl summary for 200k ops at
+#                   seed 7 (3 connections, pipeline 64), and so does
+#                   the server's own shutdown summary, at 1 and 4
+#                   stripes.  The server's --metrics must show at most
+#                   0.5 net.sends per GET/SET: a decode pass sends its
+#                   replies in one send(2), where one send per reply
+#                   reads exactly 1.0.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -35,6 +44,16 @@ function(run out_var)
         message(FATAL_ERROR "exit ${rc}: ${ARGN}\n${err}")
     endif()
     set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+# Store TEXT minus its first N lines in OUT_VAR.
+function(drop_lines out_var text n)
+    foreach(i RANGE 1 ${n})
+        string(FIND "${text}" "\n" nl)
+        math(EXPR nl "${nl} + 1")
+        string(SUBSTRING "${text}" ${nl} -1 text)
+    endforeach()
+    set(${out_var} "${text}" PARENT_SCOPE)
 endfunction()
 
 function(expect_same what want got)
@@ -104,6 +123,81 @@ elseif(CASE STREQUAL "serve_workers")
                 "${s${stripes}_w1}" "${s${stripes}_w8}")
         endforeach()
         expect_same("${policy} --stripes 4 summary" "${s1_w1}" "${s4_w1}")
+    endforeach()
+elseif(CASE STREQUAL "serve_wire")
+    if(CMAKE_VERSION VERSION_LESS 3.19)
+        message(FATAL_ERROR "serve_wire reads --metrics JSON with "
+            "string(JSON), which needs CMake 3.19")
+    endif()
+    run(inproc "${CSRSERVE}" --policy acl --workload zipf
+        --ops 200000 --keys 65536 --seed 7 --workers 1)
+    # The title row names the endpoint, not the policy, by design.
+    drop_lines(want "${inproc}" 1)
+    foreach(stripes 1 4)
+        set(dir "${WORK_DIR}/s${stripes}")
+        file(MAKE_DIRECTORY "${dir}")
+        # Only a shell can keep the server running in the background
+        # while the client drives it, then stop it with SIGTERM (which
+        # prints its summary).  It prints "listening HOST:PORT" first.
+        execute_process(COMMAND sh -c [=[
+            bin=$1 stripes=$2 dir=$3
+            "$bin" --listen 127.0.0.1:0 --net-workers 2 --policy acl \
+                --seed 7 --stripes "$stripes" --validate \
+                --metrics "$dir/metrics.json" \
+                > "$dir/server.txt" 2> "$dir/server.log" &
+            srv=$!
+            port= tries=0
+            while [ -z "$port" ] && [ $tries -lt 100 ]; do
+                sleep 0.1
+                tries=$((tries + 1))
+                port=$(sed -n 's/^listening .*:\([0-9]*\)$/\1/p' \
+                    "$dir/server.txt")
+            done
+            rc=1
+            if [ -n "$port" ]; then
+                "$bin" --connect "127.0.0.1:$port" --connections 3 \
+                    --pipeline 64 --workload zipf --ops 200000 \
+                    --keys 65536 --seed 7 --shards 8 --expect-fresh \
+                    > "$dir/wire.txt" 2> "$dir/wire.log"
+                rc=$?
+            else
+                echo "server never printed its port" > "$dir/wire.log"
+            fi
+            kill -TERM "$srv"
+            wait "$srv" || rc=1
+            exit $rc
+            ]=] sh "${CSRSERVE}" ${stripes} "${dir}"
+            RESULT_VARIABLE rc)
+        if(NOT rc EQUAL 0)
+            file(READ "${dir}/wire.log" client_log)
+            file(READ "${dir}/server.log" server_log)
+            message(FATAL_ERROR "loopback run at --stripes ${stripes} "
+                "failed (exit ${rc})\n--- client\n${client_log}\n"
+                "--- server\n${server_log}")
+        endif()
+        file(READ "${dir}/wire.txt" wire)
+        file(READ "${dir}/server.txt" server)
+        drop_lines(wire "${wire}" 1)
+        drop_lines(server "${server}" 2) # "listening ..." and the title
+        expect_same("--stripes ${stripes} client summary" "${want}"
+            "${wire}")
+        expect_same("--stripes ${stripes} server summary" "${want}"
+            "${server}")
+
+        # The client sends each command on its own, so how many one
+        # recv picks up, and thus the ratio, varies with scheduling;
+        # batching read 0.05-0.37 on a 4-vCPU VM.
+        file(READ "${dir}/metrics.json" metrics)
+        string(JSON sends GET "${metrics}" counters net.sends)
+        string(JSON gets GET "${metrics}" counters net.cmd.get)
+        string(JSON sets GET "${metrics}" counters net.cmd.set)
+        math(EXPR twice "2 * ${sends}")
+        math(EXPR commands "${gets} + ${sets}")
+        if(twice GREATER commands)
+            message(FATAL_ERROR "--stripes ${stripes}: ${sends} sends "
+                "for ${gets} GET + ${sets} SET is more than 0.5 per "
+                "command")
+        endif()
     endforeach()
 else()
     message(FATAL_ERROR "unknown golden case '${CASE}'")

@@ -584,11 +584,7 @@ TEST(NetServeLoopback, CommandsRoundTripAgainstARealServer)
     ASSERT_EQ(info.type, '$');
     const ServeTotals parsed = parseInfoTotals(info.text);
     const ServeTotals live = service.totals();
-    EXPECT_EQ(parsed.gets, live.gets);
-    EXPECT_EQ(parsed.hits, live.hits);
-    EXPECT_EQ(parsed.misses, live.misses);
-    EXPECT_EQ(parsed.stores, live.stores);
-    EXPECT_EQ(parsed.missCostNs, live.missCostNs);
+    EXPECT_EQ(parsed, live);
     EXPECT_GT(parsed.gets, 0u);
     EXPECT_NE(info.text.find("\nsends:"), std::string::npos);
 
@@ -930,6 +926,99 @@ TEST(NetClientLoadTest, ShardPartitionMatchesTheService)
         EXPECT_EQ(wireShardOf(key, config.shards),
                   service.shardOf(key));
     }
+}
+
+namespace
+{
+
+/** The INFO payload of a service that served a few ops. */
+std::string
+sampleInfo()
+{
+    SyntheticBackend backend(SyntheticBackendConfig{});
+    CacheService service(tinyServeConfig(), backend);
+    for (Addr key = 0; key < 64; ++key)
+        service.get(key % 16);
+    service.put(3, 33);
+    NetServer server(service, NetServerConfig{});
+    return server.infoText();
+}
+
+/** @p info with the value of its first "@p key:" row set to
+ *  @p value. */
+std::string
+withValue(std::string info, const std::string &key,
+          const std::string &value)
+{
+    const std::size_t at = info.find("\n" + key + ":");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size() + 2;
+    return info.replace(from, info.find('\n', from) - from, value);
+}
+
+/** The NetError message parseInfoTotals throws for @p info. */
+std::string
+parseError(const std::string &info)
+{
+    try {
+        parseInfoTotals(info);
+    } catch (const NetError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "parseInfoTotals accepted:\n" << info;
+    return {};
+}
+
+} // namespace
+
+TEST(NetInfoParse, RejectsMissingServeSection)
+{
+    // A real Redis answers INFO with "# Server" and friends; a
+    // client must not turn that into an all-zero summary.
+    EXPECT_NE(parseError("# Server\nredis_version:7.2.4\n"
+                         "# Stats\ntotal_commands_processed:9\n")
+                  .find("# serve"),
+              std::string::npos);
+    EXPECT_NE(parseError("").find("# serve"), std::string::npos);
+
+    // A "# serve" section that lacks a listed counter names it.
+    const std::string info = sampleInfo();
+    const std::size_t row = info.find("\nstoreHits:");
+    ASSERT_NE(row, std::string::npos);
+    std::string dropped = info;
+    dropped.erase(row, info.find('\n', row + 1) - row);
+    EXPECT_NE(parseError(dropped).find("storeHits"), std::string::npos);
+}
+
+TEST(NetInfoParse, RejectsMalformedValue)
+{
+    const std::string info = sampleInfo();
+    const ServeTotals totals = parseInfoTotals(info);
+    EXPECT_GT(totals.gets, 0u);
+    EXPECT_GT(totals.missCostNs, 0.0);
+
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"gets", "abc"},
+             {"gets", "-1"},
+             {"gets", ""},
+             {"gets", "12 "},
+             {"hits", "99999999999999999999999"},
+             {"missCostNs", "1.5ns"},
+             {"hitRatio", "ratio"},
+             {"staleServes", "0x10"},
+         }) {
+        const std::string message =
+            parseError(withValue(info, key, value));
+        EXPECT_NE(message.find("'" + key + "'"), std::string::npos)
+            << key << ":" << value << " -> " << message;
+    }
+
+    // Unknown keys, and every row outside "# serve", are not read.
+    std::string extra = withValue(info, "stripes", "?");
+    extra.insert(extra.find('\n') + 1, "someNewCounter:n/a\n");
+    EXPECT_EQ(parseInfoTotals(extra), totals);
+    EXPECT_EQ(parseInfoTotals(withValue(info, "cmdGet", "x")), totals);
 }
 
 TEST(NetServerConfigTest, ValidatesFlagsAndSpecs)
