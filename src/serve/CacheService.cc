@@ -64,6 +64,32 @@ isTimeoutFailure(const std::exception_ptr &error)
     }
 }
 
+/**
+ * Install non-resident @p tag in @p set with @p state and @p value.
+ * The key leaves the ghost ring as it enters the line -- a key is
+ * resident, ghosted, or nowhere, never two of these -- and the line it
+ * evicts, if any, moves into the ring.  Must hold the stripe mutex
+ * inside a seqlock write section.
+ */
+void
+admit(Stripe &stripe, std::uint32_t set, Addr tag, const KeyHistory &state,
+      std::uint64_t value)
+{
+    const int ghost = stripe.ghosts.find(set, tag);
+    if (ghost != GhostRing::kNone) {
+        stripe.ghosts.erase(set, ghost);
+        stripe.ghostHits.fetch_add(1, std::memory_order_relaxed);
+    }
+    const int way = stripe.model.fillVictimOrFree(
+        set, tag, state.ewmaNs, 0, [&](int victim, Addr, std::uint32_t) {
+            stripe.retire(set, victim);
+            stripe.evictions.fetch_add(1, std::memory_order_relaxed);
+            CSR_TRACE_INSTANT("serve", "evict");
+        });
+    stripe.samples[stripe.idx(set, way)] = state.samples;
+    stripe.storeValue(set, way, value);
+}
+
 } // namespace
 
 unsigned
@@ -236,9 +262,12 @@ CacheService::keySamples(Addr key) const
     Stripe &stripe =
         *shards_[shardOf(key)]
              ->stripes[static_cast<unsigned>(key) & stripeMask_];
+    const std::uint32_t set = stripe.setOf(key);
+    const Addr tag = stripe.tagOf(key);
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    const auto it = stripe.keys.find(key);
-    return it == stripe.keys.end() ? 0 : it->second.samples;
+    const int way = stripe.model.lookup(set, tag);
+    return way != kInvalidWay ? stripe.samples[stripe.idx(set, way)]
+                              : stripe.ghostOf(set, tag).samples;
 }
 
 /**
@@ -413,18 +442,19 @@ CacheService::beginGet(Addr key)
         CircuitBreaker::Admit::FailFast) {
         // The shard's breaker is open and this miss would have
         // started a fresh fetch: fail fast (the whole point -- no
-        // thread parks on a backend that keeps failing).  A known
+        // thread parks on a backend that keeps failing).  A ghost's
         // value may be served stale instead.  The just-claimed flight
         // has no waiters yet (we still hold the stripe mutex), so
         // erasing it is enough.
         stripe.inflight.erase(key);
         start.flight.reset();
         start.kind = GetStart::FailFast;
-        const auto it = stripe.keys.find(key);
+        const int ghost = stripe.ghosts.find(set, tag);
         if (config_.breaker.staleWhileBroken &&
-            it != stripe.keys.end() && it->second.hasValue) {
+            ghost != GhostRing::kNone) {
             stripe.staleServes.fetch_add(1, std::memory_order_relaxed);
-            start.outcome.result.value = it->second.lastValue;
+            start.outcome.result.value =
+                stripe.ghosts.entry(set, ghost).value;
         } else {
             start.outcome.error =
                 std::make_exception_ptr(CircuitOpenError(
@@ -437,9 +467,10 @@ CacheService::beginGet(Addr key)
     }
 
     // Leader: read the fetch salt under the lock; the caller fetches
-    // with the stripe unlocked, then finishLead re-acquires it.
+    // with the stripe unlocked, then finishLead re-acquires it.  Only
+    // a successful fetch writes any per-key state.
     start.kind = GetStart::Lead;
-    start.salt = stripe.keys[key].samples;
+    start.salt = stripe.ghostOf(set, tag).samples;
     return start;
 }
 
@@ -458,10 +489,6 @@ CacheService::finishLead(const GetStart &start, const BackendResult &fetched,
         if (!error) {
             stripe.backendFetches.fetch_add(1, std::memory_order_relaxed);
             stripe.drainAccessLog();
-            Stripe::KeyState &state = stripe.keys[start.key];
-            stripe.observe(state, fetched.latencyNs, config_.ewmaAlpha);
-            state.lastValue = fetched.value;
-            state.hasValue = true;
             stripe.missCostNs += fetched.latencyNs;
 
             SeqlockWriteGuard guard(stripe.seqlock);
@@ -470,16 +497,12 @@ CacheService::finishLead(const GetStart &start, const BackendResult &fetched,
                 // A concurrent put write-allocated the key while we
                 // fetched; its value is newer than our read, so only
                 // refresh the cost.
-                stripe.model.updateCost(start.set, resident, state.ewmaNs);
+                stripe.observeLine(start.set, resident, fetched.latencyNs,
+                                   config_.ewmaAlpha);
             } else {
-                const int filled = stripe.model.fillVictimOrFree(
-                    start.set, start.tag, state.ewmaNs, 0,
-                    [&](int, Addr, std::uint32_t) {
-                        stripe.evictions.fetch_add(
-                            1, std::memory_order_relaxed);
-                        CSR_TRACE_INSTANT("serve", "evict");
-                    });
-                stripe.storeValue(start.set, filled, fetched.value);
+                KeyHistory state = stripe.ghostOf(start.set, start.tag);
+                state.observe(fetched.latencyNs, config_.ewmaAlpha);
+                admit(stripe, start.set, start.tag, state, fetched.value);
             }
         }
         // Retire the flight BEFORE publishing, so after a leader crash
@@ -511,13 +534,19 @@ CacheService::finishJoin(const GetStart &start)
     {
         std::lock_guard<std::mutex> lock(stripe.mutex);
         stripe.drainAccessLog();
-        Stripe::KeyState &state = stripe.keys[start.key];
-        stripe.observe(state, flight.latencyNs, config_.ewmaAlpha);
         stripe.missCostNs += flight.latencyNs;
+        // The observation goes wherever the key's state is now: its
+        // line, its ghost, or -- evicted out of the ring meanwhile --
+        // nowhere.
         const int resident = stripe.model.lookup(start.set, start.tag);
         if (resident != kInvalidWay) {
             SeqlockWriteGuard guard(stripe.seqlock);
-            stripe.model.updateCost(start.set, resident, state.ewmaNs);
+            stripe.observeLine(start.set, resident, flight.latencyNs,
+                               config_.ewmaAlpha);
+        } else if (const int ghost = stripe.ghosts.find(start.set, start.tag);
+                   ghost != GhostRing::kNone) {
+            stripe.ghosts.entry(start.set, ghost)
+                .observe(flight.latencyNs, config_.ewmaAlpha);
         }
     }
     outcome.result.value = flight.value;
@@ -536,10 +565,16 @@ CacheService::del(Addr key)
 
     std::lock_guard<std::mutex> lock(stripe.mutex);
     stripe.drainAccessLog();
+    // The line's state moves to the ring, where a later miss resumes
+    // it and --stale-while-broken can still serve its value.
+    const int way = stripe.model.lookup(set, tag);
+    if (way != kInvalidWay)
+        stripe.retire(set, way);
     // Under the seqlock guard so a concurrent optimistic reader
     // re-validates instead of serving the dying line.
     SeqlockWriteGuard guard(stripe.seqlock);
-    return stripe.model.invalidateTag(set, tag) != kInvalidWay;
+    stripe.model.invalidateTag(set, tag);
+    return way != kInvalidWay;
 }
 
 ServeOpResult
@@ -559,7 +594,11 @@ CacheService::put(Addr key, std::uint64_t value)
     stripe.drainAccessLog();
     stripe.stores.fetch_add(1, std::memory_order_relaxed);
 
-    Stripe::KeyState &state = stripe.keys[key];
+    // One probe serves the salt, the policy notification and the
+    // update: the mutex is held throughout, so the way stays put.
+    const int way = stripe.model.lookup(set, tag);
+    KeyHistory state = way != kInvalidWay ? stripe.lineState(set, way)
+                                          : stripe.ghostOf(set, tag);
     BackendResult stored;
     {
         CSR_TRACE_SPAN("serve", "backend.store");
@@ -567,37 +606,29 @@ CacheService::put(Addr key, std::uint64_t value)
     }
     // A write-through round trip is a fresh observation of this key's
     // backend latency, so it refreshes the cost estimate too.
-    stripe.observe(state, stored.latencyNs, config_.ewmaAlpha);
-    state.lastValue = value;
-    state.hasValue = true;
+    state.observe(stored.latencyNs, config_.ewmaAlpha);
     stripe.storeCostNs += stored.latencyNs;
 
     ServeOpResult result;
     result.value = value;
     result.backendNs = stored.latencyNs;
 
-    const int way = stripe.model.access(set, tag);
+    stripe.model.noteAccess(set, tag, way);
+    SeqlockWriteGuard guard(stripe.seqlock);
     if (way != kInvalidWay) {
         // Resident: refresh the value and push the new prediction to
         // the policy -- the online analogue of the paper's dynamic
         // cost updates (CacheModel::updateCost).
         stripe.storeHits.fetch_add(1, std::memory_order_relaxed);
-        SeqlockWriteGuard guard(stripe.seqlock);
         stripe.storeValue(set, way, value);
+        stripe.samples[stripe.idx(set, way)] = state.samples;
         stripe.model.updateCost(set, way, state.ewmaNs);
         result.hit = true;
         return result;
     }
 
     // Write-allocate, so subsequent reads of a written key hit.
-    SeqlockWriteGuard guard(stripe.seqlock);
-    const int filled = stripe.model.fillVictimOrFree(
-        set, tag, state.ewmaNs, 0, [&](int, Addr, std::uint32_t) {
-            stripe.evictions.fetch_add(1, std::memory_order_relaxed);
-            CSR_TRACE_INSTANT("serve", "evict");
-        });
-    stripe.storeValue(set, filled, value);
-    result.hit = false;
+    admit(stripe, set, tag, state, value);
     return result;
 }
 
@@ -615,7 +646,8 @@ CacheService::totals() const
                     sum += count.load(std::memory_order_relaxed);
                 },
                 totals, stripe);
-            totals.trackedKeys += stripe.keys.size();
+            totals.trackedKeys +=
+                stripe.model.countValid() + stripe.ghosts.size();
             totals.missCostNs += stripe.missCostNs;
             totals.storeCostNs += stripe.storeCostNs;
         }
@@ -676,9 +708,15 @@ CacheService::exportMetrics(MetricRegistry &registry) const
         for (const auto &stripe_ptr : shard_ptr->stripes) {
             Stripe &stripe = *stripe_ptr;
             std::lock_guard<std::mutex> lock(stripe.mutex);
-            for (const auto &[key, state] : stripe.keys) {
-                (void)key;
-                ewma.add(state.ewmaNs);
+            const CacheGeometry &geom = stripe.model.geometry();
+            for (std::uint32_t set = 0; set < geom.numSets(); ++set) {
+                for (int way = 0; way < static_cast<int>(geom.assoc());
+                     ++way) {
+                    if (stripe.model.isValid(set, way))
+                        ewma.add(stripe.model.costAt(set, way));
+                    if (stripe.ghosts.isValid(set, way))
+                        ewma.add(stripe.ghosts.entry(set, way).ewmaNs);
+                }
             }
         }
     }
@@ -688,6 +726,10 @@ CacheService::exportMetrics(MetricRegistry &registry) const
 void
 CacheService::checkInvariants() const
 {
+    const auto where = [](std::size_t s, std::size_t t) {
+        return "serve shard " + std::to_string(s) + " stripe " +
+               std::to_string(t) + ": ";
+    };
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const auto &stripes = shards_[s]->stripes;
         for (std::size_t t = 0; t < stripes.size(); ++t) {
@@ -696,32 +738,37 @@ CacheService::checkInvariants() const
             stripe.model.checkInvariants();
             if (stripe.inflight.size() != 0)
                 throw InvariantError(
-                    "serve shard " + std::to_string(s) + " stripe " +
-                    std::to_string(t) + ": " +
+                    where(s, t) +
                     std::to_string(stripe.inflight.size()) +
                     " in-flight fetches in a quiescent service");
             const CacheGeometry &geom = stripe.model.geometry();
             for (std::uint32_t set = 0; set < geom.numSets(); ++set) {
-                for (std::uint32_t way = 0; way < geom.assoc();
+                for (int way = 0; way < static_cast<int>(geom.assoc());
                      ++way) {
-                    if (!stripe.model.isValid(set,
-                                              static_cast<int>(way)))
+                    if (stripe.ghosts.isValid(set, way) &&
+                        stripe.ghosts.find(set, stripe.ghosts.tagAt(
+                                                    set, way)) != way)
+                        throw InvariantError(
+                            where(s, t) + "set " + std::to_string(set) +
+                            " ghosts one tag twice");
+                    if (!stripe.model.isValid(set, way))
                         continue;
-                    const Addr tag =
-                        stripe.model.tagAt(set,
-                                           static_cast<int>(way));
+                    const Addr tag = stripe.model.tagAt(set, way);
                     // Reassemble the key the routing decomposed:
                     // tag | local set | stripe id, low bits last.
                     const Addr key =
                         (((tag << geom.setBits()) | set)
                          << stripe.stripeBits) |
                         t;
-                    if (stripe.keys.find(key) == stripe.keys.end())
+                    if (stripe.samples[stripe.idx(set, way)] == 0)
                         throw InvariantError(
-                            "serve shard " + std::to_string(s) +
-                            " stripe " + std::to_string(t) +
-                            ": resident key " + std::to_string(key) +
-                            " has no latency estimate");
+                            where(s, t) + "resident key " +
+                            std::to_string(key) +
+                            " has no latency sample");
+                    if (stripe.ghosts.find(set, tag) != GhostRing::kNone)
+                        throw InvariantError(
+                            where(s, t) + "key " + std::to_string(key) +
+                            " is both resident and ghosted");
                 }
             }
         }

@@ -13,8 +13,11 @@
  *    independently locked *stripes* (serve/ShardState.h): set-aligned
  *    sub-shards selected by the key's low set-index bits, each owning
  *    a CacheModel bound to its own ReplacementPolicy instance (built
- *    by the existing PolicyFactory -- LRU/GD/BCL/DCL/ACL all work), a
- *    per-(set, way) value lane, and a per-key EWMA latency tracker.
+ *    by the existing PolicyFactory -- LRU/GD/BCL/DCL/ACL all work),
+ *    per-(set, way) value and sample lanes beside the model's cost
+ *    lane (which holds each resident key's EWMA latency), and a
+ *    fixed per-set ghost ring holding the state of recently evicted
+ *    keys (serve/GhostRing.h).
  *    With S stripes, fills and write-allocates on different stripes
  *    of one shard proceed in parallel; `stripes = 1` reproduces the
  *    single-mutex shard bit for bit.
@@ -170,7 +173,12 @@ struct ServeTotals
     std::uint64_t stores = 0;
     std::uint64_t storeHits = 0; ///< writes that found the key resident
     std::uint64_t evictions = 0;
-    std::uint64_t trackedKeys = 0; ///< keys with an EWMA estimate
+    /** Misses and write-allocates that resumed an evicted key's
+     *  estimate from its set's ghost ring. */
+    std::uint64_t ghostHits = 0;
+    /** Keys with an EWMA estimate: resident lines plus ghosts, so at
+     *  most twice the line count. */
+    std::uint64_t trackedKeys = 0;
     /** Sum of measured read-miss fetch latencies: the paper's
      *  aggregate miss cost, measured online.  A coalesced miss
      *  charges the leader's measured latency, the same nanoseconds
@@ -224,6 +232,7 @@ forEachDeterministicCounter(Visit &&visit, T &...o)
     visit("stores", "serve.stores", o.stores...);
     visit("storeHits", "serve.store_hits", o.storeHits...);
     visit("evictions", "serve.evictions", o.evictions...);
+    visit("ghostHits", "serve.ghost_hits", o.ghostHits...);
     if constexpr (kAllServeTotals<T...>) {
         visit("trackedKeys", "serve.tracked_keys", o.trackedKeys...);
         visit("missCostNs", "serve.miss_cost_ns", o.missCostNs...);
@@ -318,8 +327,8 @@ class CacheService
     ServeOpResult put(Addr key, std::uint64_t value);
 
     /** Drop @p key from the cache (the wire protocol's DEL): the line
-     *  is invalidated, the policy told, the cost estimate kept.
-     *  @return true when the key was resident. */
+     *  is invalidated, the policy told, and the key's state moved to
+     *  its set's ghost ring.  @return true when the key was resident. */
     bool del(Addr key);
 
     /** Shard that owns @p key (stable; the harness partitions ops by
@@ -347,7 +356,8 @@ class CacheService
     const ServeConfig &config() const { return config_; }
     std::string policyName() const;
 
-    /** EWMA sample count of @p key (tests: stampede coalescing). */
+    /** EWMA sample count of @p key, from its line or its ghost; 0 for
+     *  a key with neither (tests: stampede coalescing). */
     std::uint64_t keySamples(Addr key) const;
 
     /** Aggregate the per-stripe counters (locks stripe by stripe).

@@ -96,7 +96,8 @@ HarnessResult::summaryTable(const std::string &title) const
     table.addRow({"stores", TextTable::count(totals.stores)});
     table.addRow({"store hits", TextTable::count(totals.storeHits)});
     table.addRow({"evictions", TextTable::count(totals.evictions)});
-    table.addRow({"tracked keys", TextTable::count(totals.trackedKeys)});
+    table.addRow({"tracked keys (lines+ghosts)",
+                  TextTable::count(totals.trackedKeys)});
     table.addRow(
         {"miss cost ms", TextTable::num(totals.missCostNs / 1e6, 3)});
     table.addRow(

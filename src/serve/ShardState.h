@@ -5,7 +5,7 @@
  * A shard no longer owns a single CacheModel behind a single mutex:
  * it owns S independently locked *stripes* (DESIGN.md section 3.6).
  * Each Stripe is a complete miniature of the PR-6 shard -- its own
- * CacheModel + policy, value lane, per-key cost estimates, mutex,
+ * CacheModel + policy, value and sample lanes, ghost ring, mutex,
  * seqlock, deferred access log, and in-flight fetch table -- over a
  * set-aligned slice of the shard's sets.  Keys are routed to stripes
  * by their low set-index bits, so no cache set ever spans a lock and
@@ -16,6 +16,12 @@
  *  - Writers -- miss fills, write-allocates, cost refreshes -- hold
  *    `mutex` and wrap every mutation of seqlock-probed state (tag
  *    lane, valid words, value lane) in a SeqlockWriteGuard.
+ *
+ *  - Per-key state lives where the cache already keeps the key: a
+ *    resident key's EWMA cost estimate is its line's CacheModel cost,
+ *    its sample count and value sit in `samples` and `values`; a key
+ *    that left the cache is in `ghosts` (serve/GhostRing.h) or
+ *    nowhere.  Nothing per key outlives twice the stripe's lines.
  *
  *  - Optimistic readers (the seqlock hit path) hold nothing: they
  *    bracket probeConcurrent() + loadValue() in a seqlock read
@@ -40,13 +46,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cache/CacheModel.h"
 #include "serve/AccessLog.h"
 #include "serve/CircuitBreaker.h"
+#include "serve/GhostRing.h"
 #include "serve/InflightTable.h"
 #include "serve/Seqlock.h"
 #include "util/Atomics.h"
@@ -69,21 +75,12 @@ struct Stripe
           values(static_cast<std::size_t>(geom.numSets()) *
                      geom.assoc(),
                  0),
+          samples(values.size(), 0),
+          ghosts(static_cast<std::uint32_t>(geom.numSets()),
+                 geom.assoc()),
           accessLog(access_log_capacity)
     {
     }
-
-    /** Per-key backend-latency estimate (the online cost model). */
-    struct KeyState
-    {
-        double ewmaNs = 0.0;
-        std::uint64_t samples = 0;
-        /** Last value installed for this key (fetch or store); kept
-         *  past eviction so --stale-while-broken can serve it while
-         *  the shard's circuit breaker is open. */
-        std::uint64_t lastValue = 0;
-        bool hasValue = false;
-    };
 
     std::size_t
     idx(std::uint32_t set, int way) const
@@ -123,15 +120,42 @@ struct Stripe
         return key >> (model.geometry().setBits() + stripeBits);
     }
 
-    /** Fold a measured latency into the key's EWMA. */
-    void
-    observe(KeyState &state, double latency_ns, double alpha)
+    /** The state of resident line (@p set, @p way). */
+    KeyHistory
+    lineState(std::uint32_t set, int way) const
     {
-        state.ewmaNs = state.samples == 0
-                           ? latency_ns
-                           : alpha * latency_ns +
-                                 (1.0 - alpha) * state.ewmaNs;
-        ++state.samples;
+        return {model.costAt(set, way), samples[idx(set, way)],
+                loadValue(set, way)};
+    }
+
+    /** The state of non-resident @p tag: its ghost's, or a fresh one.
+     *  The ghost stays in the ring until the key is admitted. */
+    KeyHistory
+    ghostOf(std::uint32_t set, Addr tag) const
+    {
+        const int slot = ghosts.find(set, tag);
+        return slot == GhostRing::kNone ? KeyHistory{}
+                                        : ghosts.entry(set, slot);
+    }
+
+    /** Fold a measured latency into resident line (@p set, @p way)'s
+     *  estimate and push the new prediction to the policy. */
+    void
+    observeLine(std::uint32_t set, int way, double latency_ns,
+                double alpha)
+    {
+        KeyHistory state = lineState(set, way);
+        state.observe(latency_ns, alpha);
+        samples[idx(set, way)] = state.samples;
+        model.updateCost(set, way, state.ewmaNs);
+    }
+
+    /** Move resident line (@p set, @p way)'s state into the ring,
+     *  before an eviction or DEL drops the line. */
+    void
+    retire(std::uint32_t set, int way)
+    {
+        ghosts.push(set, model.tagAt(set, way), lineState(set, way));
     }
 
     /**
@@ -159,8 +183,12 @@ struct Stripe
     CacheModel model;
     /** log2(stripes per shard); fixed at construction. */
     std::uint32_t stripeBits;
+    /** Per-line value, read by optimistic hits (atomic access). */
     std::vector<std::uint64_t> values;
-    std::unordered_map<Addr, KeyState> keys;
+    /** Per-line EWMA sample count (the key's backend salt); under
+     *  `mutex`.  A valid line always has at least one. */
+    std::vector<std::uint64_t> samples;
+    GhostRing ghosts;
     AccessLog accessLog;
     InflightTable inflight;
 
@@ -170,6 +198,8 @@ struct Stripe
     std::atomic<std::uint64_t> stores{0};
     std::atomic<std::uint64_t> storeHits{0};
     std::atomic<std::uint64_t> evictions{0};
+    /** Misses and write-allocates that resumed a ghost's state. */
+    std::atomic<std::uint64_t> ghostHits{0};
     /** Hits served entirely without the stripe mutex. */
     std::atomic<std::uint64_t> seqlockHits{0};
     /** Optimistic read sections discarded by validation. */

@@ -29,6 +29,17 @@
 #                   0.5 net.sends per GET/SET: a decode pass sends its
 #                   replies in one send(2), where one send per reply
 #                   reads exactly 1.0.
+#   serve_chaos     A loopback `csrserve --listen --validate` with
+#                   deterministic fault injection live (--chaos-rate
+#                   0.02: short writes, deferred accepts, backend
+#                   errors, latency spikes) survives a 200k-op client
+#                   run (DESIGN.md §3.8), twice for each of the chaos
+#                   seeds 42 and 1337.  Each chaos decision is a pure
+#                   function of the seed, so the two runs of a seed
+#                   print byte-identical server and client summaries,
+#                   and the two seeds' server summaries differ.  Once
+#                   the client is gone the server's /proc/<pid>/fd
+#                   table must be back at its pre-client size.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -199,6 +210,79 @@ elseif(CASE STREQUAL "serve_wire")
                 "command")
         endif()
     endforeach()
+elseif(CASE STREQUAL "serve_chaos")
+    foreach(seed 42 1337)
+        foreach(run a b)
+            set(dir "${WORK_DIR}/${seed}_${run}")
+            file(MAKE_DIRECTORY "${dir}")
+            # As in serve_wire, a shell keeps the server in the
+            # background; it also reads the server's fd table.
+            execute_process(COMMAND sh -c [=[
+                bin=$1 seed=$2 dir=$3
+                "$bin" --listen 127.0.0.1:0 --net-workers 2 --policy acl \
+                    --seed 7 --stripes 4 --validate \
+                    --chaos-rate 0.02 --chaos-seed "$seed" \
+                    > "$dir/server.txt" 2> "$dir/server.log" &
+                srv=$!
+                port= tries=0
+                while [ -z "$port" ] && [ $tries -lt 100 ]; do
+                    sleep 0.1
+                    tries=$((tries + 1))
+                    port=$(sed -n 's/^listening .*:\([0-9]*\)$/\1/p' \
+                        "$dir/server.txt")
+                done
+                rc=1
+                if [ -n "$port" ]; then
+                    fds_before=$(ls "/proc/$srv/fd" | wc -l)
+                    "$bin" --connect "127.0.0.1:$port" --connections 3 \
+                        --pipeline 64 --workload zipf --ops 200000 \
+                        --keys 65536 --seed 7 --shards 8 --allow-errors \
+                        > "$dir/wire.txt" 2> "$dir/wire.log"
+                    rc=$?
+                    # Let the server reap the closed connections (and
+                    # any still-parked deferred accepts) first.
+                    sleep 1
+                    fds_after=$(ls "/proc/$srv/fd" | wc -l)
+                    if [ "$fds_after" -ne "$fds_before" ]; then
+                        echo "fd leak: $fds_before fds before the client," \
+                            "$fds_after after" >> "$dir/wire.log"
+                        ls -l "/proc/$srv/fd" >> "$dir/wire.log"
+                        rc=1
+                    fi
+                else
+                    echo "server never printed its port" > "$dir/wire.log"
+                fi
+                kill -TERM "$srv"
+                wait "$srv" || rc=1
+                exit $rc
+                ]=] sh "${CSRSERVE}" ${seed} "${dir}"
+                RESULT_VARIABLE rc)
+            if(NOT rc EQUAL 0)
+                file(READ "${dir}/wire.log" client_log)
+                file(READ "${dir}/server.log" server_log)
+                message(FATAL_ERROR "chaos seed ${seed} run ${run} failed "
+                    "(exit ${rc})\n--- client\n${client_log}\n"
+                    "--- server\n${server_log}")
+            endif()
+            # The client's title and the server's "listening" line
+            # name the ephemeral port; the server's title names the
+            # chaos seed, which the cross-seed check must not lean on.
+            file(READ "${dir}/wire.txt" wire)
+            file(READ "${dir}/server.txt" server)
+            drop_lines(wire_${seed}_${run} "${wire}" 1)
+            drop_lines(server_${seed}_${run} "${server}" 2)
+        endforeach()
+        expect_same("chaos seed ${seed} server summary"
+            "${server_${seed}_a}" "${server_${seed}_b}")
+        expect_same("chaos seed ${seed} client summary"
+            "${wire_${seed}_a}" "${wire_${seed}_b}")
+    endforeach()
+    # Different seeds inject different faults, so their summaries must
+    # differ too.
+    if("${server_42_a}" STREQUAL "${server_1337_a}")
+        message(FATAL_ERROR "chaos seeds 42 and 1337 produced identical "
+            "server summaries -- injection is not keyed on the seed")
+    endif()
 else()
     message(FATAL_ERROR "unknown golden case '${CASE}'")
 endif()

@@ -389,7 +389,7 @@ TEST(ServeBreaker, StaleWhileBrokenServesLastKnownValue)
     config.breaker.staleWhileBroken = true;
     CacheService service(config, backend);
 
-    // Install a value, then evict it: the KeyState keeps lastValue.
+    // Install a value, then drop it: its ghost keeps the value.
     service.put(5, 42);
     EXPECT_TRUE(service.del(5));
 
@@ -409,6 +409,52 @@ TEST(ServeBreaker, StaleWhileBrokenServesLastKnownValue)
     const ServeTotals totals = service.totals();
     EXPECT_EQ(totals.staleServes, 1u);
     EXPECT_EQ(backend.fetches.load(), 2u);
+}
+
+TEST(ServeBreaker, StaleWhileBrokenForgetsKeysPastTheGhostRing)
+{
+    FailingBackend backend;
+    ServeConfig config = tinyServeConfig();
+    config.shards = 1;
+    config.breaker = twitchyBreaker();
+    config.breaker.staleWhileBroken = true;
+    CacheService service(config, backend);
+    // One shard, one stripe: the set is the key's low bits, so keys
+    // kKey + k * kSets share kKey's set.
+    const Addr kSets = config.shardBytes / config.blockBytes / config.assoc;
+    constexpr Addr kKey = 5;
+    Addr next = kKey;
+    const auto evictOne = [&] {
+        const std::uint64_t before = service.totals().evictions;
+        service.put(next += kSets, 1);
+        ASSERT_EQ(service.totals().evictions, before + 1);
+    };
+
+    // Fill kKey's set, then evict kKey (the LRU line: uniform store
+    // latencies never enable ACL's cost bias).
+    service.put(kKey, 42);
+    for (std::uint32_t way = 1; way < config.assoc; ++way)
+        service.put(next += kSets, 1);
+    evictOne();
+
+    // Trip the breaker on a key of another set.
+    EXPECT_THROW(service.get(7), NetError);
+    EXPECT_THROW(service.get(7), NetError);
+    ASSERT_EQ(service.breakerOf(0).state(),
+              CircuitBreaker::State::Open);
+
+    // Still in its set's ring after assoc - 1 more evictions there...
+    for (std::uint32_t n = 1; n < config.assoc; ++n)
+        evictOne();
+    EXPECT_EQ(service.get(kKey).value, 42u);
+    // ...and forgotten after the assoc-th: the key is now unknown.
+    evictOne();
+    EXPECT_THROW(service.get(kKey), CircuitOpenError);
+
+    const ServeTotals totals = service.totals();
+    EXPECT_EQ(totals.staleServes, 1u);
+    EXPECT_EQ(backend.fetches.load(), 2u);
+    service.checkInvariants();
 }
 
 TEST(ServeBreaker, HalfOpenProbeRecoversAutomatically)

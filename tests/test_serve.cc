@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ServeTestBackend.h"
 #include "robust/Errors.h"
 #include "serve/CacheService.h"
 #include "serve/KeyGenerator.h"
@@ -486,6 +487,58 @@ TEST(CacheService, MissFetchesTheBackendValue)
     const ServeTotals totals = service.totals();
     EXPECT_EQ(totals.misses, 1u);
     EXPECT_EQ(totals.missCostNs, get.backendNs);
+}
+
+TEST(CacheService, FailedFetchLeavesNoKeyState)
+{
+    ScriptedBackend backend;
+    CacheService service(smallServeConfig(PolicyKind::Acl), backend);
+    const ServeOpResult put = service.put(5, 42);
+    backend.failNext = true;
+    EXPECT_THROW(service.get(7), InjectedFaultError);
+
+    // Only the stored key has a cost estimate: the failed fetch wrote
+    // no line and no ghost, so the key's next fetch starts fresh.
+    EXPECT_EQ(service.totals().trackedKeys, 1u);
+    EXPECT_EQ(service.keySamples(5), 1u);
+    EXPECT_EQ(service.keySamples(7), 0u);
+    MetricRegistry registry;
+    service.exportMetrics(registry);
+    const RunningStat ewma = registry.statOf("serve.key_ewma_ns");
+    EXPECT_EQ(ewma.count(), 1u);
+    EXPECT_EQ(ewma.mean(), put.backendNs);
+    EXPECT_EQ(ewma.min(), put.backendNs);
+    service.checkInvariants();
+}
+
+TEST(CacheService, TrackedKeysStayBoundedUnderChurn)
+{
+    SyntheticBackend backend(SyntheticBackendConfig{});
+    const ServeConfig config = smallServeConfig(PolicyKind::Acl);
+    CacheService service(config, backend);
+    const std::uint64_t lines = config.totalLines();
+    WorkloadMix mix;
+    mix.numKeys = 8 * lines;
+    mix.zipfTheta = 0.9;
+    mix.writeFraction = 0.3;
+    KeyGenerator gen(mix, 11);
+    for (int pass = 0; pass < 3; ++pass) {
+        for (std::uint64_t i = 0; i < mix.numKeys; ++i) {
+            const Op op = gen.next();
+            if (i % 97 == 0)
+                service.del(op.key);
+            else if (op.write)
+                service.put(op.key, i);
+            else
+                service.get(op.key);
+        }
+        const ServeTotals totals = service.totals();
+        EXPECT_LE(totals.trackedKeys, 2 * lines) << "pass " << pass;
+        EXPECT_GT(totals.trackedKeys, lines) << "pass " << pass;
+        service.checkInvariants();
+    }
+    // Evicted keys came back while their ghosts were still in the ring.
+    EXPECT_GT(service.totals().ghostHits, 0u);
 }
 
 TEST(CacheService, ShardOfIsStableAndInRange)
