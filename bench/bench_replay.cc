@@ -12,9 +12,17 @@
  * in the "timing" block CI skips) is the headline number: the
  * acceptance floor for the replay engine is 100M ops/min in Release,
  * asserted in CI via --min-ops-per-min.
+ *
+ * A second run replays the fixture with ACL at --jobs 1 and --jobs 4
+ * and writes the ratio of their CPU time per op ("scaling"): one
+ * decode stage feeds every job, so added jobs should cost little CPU
+ * beyond their own replay work.  The ratio is machine-independent and
+ * gated; the two wall times sit in its "timing" block.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -75,6 +83,56 @@ recordFixture(std::uint64_t ops, std::uint64_t seed)
     }
     writer.finish();
     return path;
+}
+
+/** The CPU time, across all threads, of this process so far. */
+double
+processCpuSec()
+{
+    return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/** ACL replayed at --jobs 1 and --jobs 4: medians of wall and process
+ *  CPU seconds over kRounds alternating rounds. */
+struct JobsScaling
+{
+    static constexpr unsigned kJobs[2] = {1, 4};
+    static constexpr int kRounds = 15;
+    double wallSec[2] = {};
+    double cpuSec[2] = {};
+
+    /** CPU per op at --jobs 4 over that at --jobs 1 (same ops). */
+    double cpuRatio() const { return cpuSec[1] / cpuSec[0]; }
+};
+
+JobsScaling
+measureJobsScaling(ReplayConfig config)
+{
+    config.policy = PolicyKind::Acl;
+    std::vector<double> wall[2];
+    std::vector<double> cpu[2];
+    for (int round = 0; round < JobsScaling::kRounds; ++round) {
+        for (int k = 0; k < 2; ++k) {
+            config.jobs = JobsScaling::kJobs[k];
+            const double cpu0 = processCpuSec();
+            const ReplayResult result = replayTrace(config);
+            cpu[k].push_back(processCpuSec() - cpu0);
+            wall[k].push_back(result.wallSec);
+        }
+    }
+    JobsScaling scaling;
+    for (int k = 0; k < 2; ++k) {
+        scaling.wallSec[k] = median(wall[k]);
+        scaling.cpuSec[k] = median(cpu[k]);
+    }
+    return scaling;
 }
 
 } // namespace
@@ -147,6 +205,20 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
+    const JobsScaling scaling = measureJobsScaling(config);
+    TextTable scaling_table("ACL replay, --jobs 1 vs --jobs 4 (median of " +
+                            std::to_string(JobsScaling::kRounds) +
+                            " rounds)");
+    scaling_table.setHeader({"Jobs", "Wall s", "CPU s", "CPU/op vs 1 job"});
+    for (int k = 0; k < 2; ++k)
+        scaling_table.addRow({
+            std::to_string(JobsScaling::kJobs[k]),
+            TextTable::num(scaling.wallSec[k], 4),
+            TextTable::num(scaling.cpuSec[k], 4),
+            TextTable::num(scaling.cpuSec[k] / scaling.cpuSec[0], 3),
+        });
+    scaling_table.print(std::cout);
+
     const std::string json_path =
         args.has("json") ? args.jsonPath() : "BENCH_replay.json";
     std::ofstream os(json_path);
@@ -159,7 +231,14 @@ main(int argc, char **argv)
                                            /*indent=*/4);
             os << (i + 1 < runs.size() ? ",\n" : "\n");
         }
-        os << "  ]\n}\n";
+        // check_bench gates the CPU ratio and skips "timing".
+        os << "  ],\n  \"scaling\": {\n    \"policy\": \"ACL\",\n"
+           << "    \"cpuPerOpJobs4OverJobs1\": "
+           << TextTable::numFull(scaling.cpuRatio()) << ",\n"
+           << "    \"timing\": {\n      \"wallSecJobs1\": "
+           << TextTable::numFull(scaling.wallSec[0])
+           << ",\n      \"wallSecJobs4\": "
+           << TextTable::numFull(scaling.wallSec[1]) << "\n    }\n  }\n}\n";
         std::cerr << "### wrote JSON to " << json_path << "\n";
     } else {
         std::cerr << "### cannot write " << json_path << "\n";

@@ -21,9 +21,19 @@
  * merge is associative -- no floating-point reassociation across
  * jobs.
  *
- * Each job decodes from its own TraceReader (mmap'd readers share the
- * page cache); a job skips records it does not own after decode,
- * which keeps the hot loop branch-light and the partition exact.
+ * One decode stage feeds the jobs at every --jobs value, 1 included:
+ * a decoder thread decodes each block exactly once (one TraceReader,
+ * TraceReader::readBlock), applies --max-ops, and writes each record
+ * as a precomputed (set, tag, op, cost) entry into the run of the job
+ * that owns its set.  The runs of one block share a slot of a fixed
+ * ring of 8 blocks; job j replays its run of block b, in block
+ * order, and the decoder refills b's slot with block b + 8 once every
+ * job is done with it.  So replay runs --jobs threads plus the
+ * decoder, every wait blocks in std::atomic::wait (no hand-written
+ * spin), and the ring holds at most 8 x records per block x 24 bytes
+ * of entries (768 KiB at the default 4096-record block).  A decode
+ * error stops every thread and is rethrown as the same
+ * TraceFormatError.
  */
 
 #ifndef CSR_REPLAY_REPLAYER_H
@@ -54,7 +64,8 @@ struct ReplayConfig
     std::uint32_t blockBytes = 64;
     PolicyKind policy = PolicyKind::Lru;
     PolicyParams policyParams;
-    /** Worker threads; 0 = one per hardware thread. */
+    /** Replay threads (the decoder is one more); 0 = one per
+     *  hardware thread. */
     unsigned jobs = 1;
     /** Replay only the first N records; 0 = the whole trace. */
     std::uint64_t maxOps = 0;
@@ -133,6 +144,10 @@ struct ReplayResult
     std::uint64_t traceRecords = 0; ///< records in the file
     unsigned jobs = 1;
     double wallSec = 0.0;
+    /** Decode-stage busy time: readBlock plus partitioning. */
+    double decodeSec = 0.0;
+    /** Time the jobs spent blocked on the decode stage, summed. */
+    double waitSec = 0.0;
 
     double
     opsPerSec() const

@@ -12,8 +12,8 @@
  * bounds.
  *
  * A reader is cheap to construct and single-threaded by design: the
- * replay engine gives each job its own reader over the same file (an
- * mmap per reader costs a few pages of page table, not a copy).
+ * replay engine opens one, and its decode thread alone reads from it,
+ * handing decoded records to the replay jobs (replay/Replayer.h).
  */
 
 #ifndef CSR_REPLAY_TRACEREADER_H

@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "cache/CacheModel.h"
 #include "cost/StaticCostModels.h"
 #include "replay/Format.h"
 #include "replay/Ingest.h"
@@ -408,6 +409,184 @@ TEST(Replayer, MaxOpsBoundsTheReplay)
     const ReplayResult result = replayTrace(config);
     EXPECT_EQ(result.totals.ops, 1234u);
     EXPECT_EQ(result.traceRecords, 10'000u);
+    std::remove(path.c_str());
+}
+
+namespace
+{
+
+/** A trace of many 64-record blocks over a keyspace a few times the
+ *  test cache: GET/SET/DEL, every fourth record with a cost hint. */
+std::vector<ReplayRecord>
+mixedRecords(std::size_t n)
+{
+    std::vector<ReplayRecord> records(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        ReplayRecord &rec = records[i];
+        rec.tsNs = i;
+        rec.key = hashMix64(i) % 211;
+        rec.op = TraceOp::Get;
+        if (i % 10 == 9)
+            rec.op = TraceOp::Del;
+        else if (i % 3 == 1)
+            rec.op = TraceOp::Set;
+        rec.valueSize = 8;
+        rec.costHint =
+            i % 4 ? 0 : static_cast<std::uint32_t>(1 + i * 37 % 5000);
+    }
+    return records;
+}
+
+/** The replay protocol written out once more, on one thread with no
+ *  decode stage: the reference the replayer must match. */
+ReplayTotals
+serialReplay(const ReplayConfig &config)
+{
+    const CacheGeometry geom(config.cacheBytes, config.assoc,
+                             config.blockBytes);
+    CacheModel model(geom,
+                     makePolicy(config.policy, geom, config.policyParams));
+    TraceReader reader(config.path);
+    std::vector<ReplayRecord> records = reader.readAll();
+    if (config.maxOps != 0 && config.maxOps < records.size())
+        records.resize(config.maxOps);
+    ReplayTotals t;
+    const auto evicted = [&t](int, Addr, std::uint32_t) { ++t.evictions; };
+    for (const ReplayRecord &rec : records) {
+        const Addr addr = rec.key * config.blockBytes;
+        const std::uint32_t set = geom.setIndex(addr);
+        const Addr tag = geom.tag(addr);
+        const std::uint64_t cost =
+            rec.costHint ? rec.costHint : config.defaultCostNs;
+        ++t.ops;
+        if (rec.op == TraceOp::Del) {
+            ++t.dels;
+            model.invalidateTag(set, tag);
+            continue;
+        }
+        const int way = model.access(set, tag);
+        if (rec.op == TraceOp::Get) {
+            ++t.gets;
+            if (way != kInvalidWay) {
+                ++t.hits;
+                continue;
+            }
+            ++t.misses;
+            t.missCostNs += cost;
+        } else {
+            ++t.sets;
+            t.storeCostNs += cost;
+            if (way != kInvalidWay) {
+                ++t.setHits;
+                model.updateCost(set, way, static_cast<Cost>(cost));
+                continue;
+            }
+        }
+        model.fillVictimOrFree(set, tag, static_cast<Cost>(cost), 0, evicted);
+    }
+    return t;
+}
+
+} // namespace
+
+TEST(Replayer, DecodeStageMatchesSerialReference)
+{
+    // 16 blocks: twice the decode ring, so slots are reused.
+    constexpr std::uint32_t kBlock = 64;
+    constexpr std::uint64_t kRecords = 1000;
+    const std::string path =
+        writeTrace(mixedRecords(kRecords), kBlock, "stage");
+    ReplayConfig config;
+    config.path = path;
+    config.cacheBytes = 4096; // 16 sets of 4 ways for 211 keys
+    config.assoc = 4;
+    config.policy = PolicyKind::Acl;
+
+    const std::uint64_t cuts[] = {0, 1, kBlock, kBlock + 1, kRecords - 1};
+    for (std::uint64_t max_ops : cuts) {
+        config.maxOps = max_ops;
+        config.jobs = 1;
+        const ReplayTotals want = serialReplay(config);
+        EXPECT_EQ(want.ops, max_ops ? max_ops : kRecords);
+        if (max_ops == 0) { // the reference exercises every path
+            EXPECT_GT(want.hits, 0u);
+            EXPECT_GT(want.setHits, 0u);
+            EXPECT_GT(want.dels, 0u);
+            EXPECT_GT(want.evictions, 0u);
+        }
+        for (unsigned jobs : {1u, 2u, 3u, 4u, 7u}) {
+            config.jobs = jobs;
+            const ReplayResult result = replayTrace(config);
+            EXPECT_EQ(result.totals, want)
+                << "jobs " << jobs << ", maxOps " << max_ops;
+            EXPECT_EQ(result.jobs, jobs);
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Replayer, CorruptBlockThrowsAtEveryJobCount)
+{
+    constexpr std::uint32_t kBlock = 64;
+    const std::string path = writeTrace(mixedRecords(1000), kBlock, "corrupt");
+    // Block 9 of 16 (past one turn of the ring): give its key column
+    // an encoding byte no reader knows.  Header byte 40 holds the index
+    // offset, an index entry starts with its block's offset, and the
+    // key column follows the timestamp column.
+    constexpr std::uint64_t kBad = 9;
+    std::vector<std::uint8_t> bytes = readBytes(path);
+    const std::uint8_t *file = bytes.data();
+    const std::uint64_t index = format::get64(file + 40);
+    const std::uint64_t ts_column =
+        format::get64(file + index + kBad * format::kIndexEntryBytes) +
+        format::kBlockHeaderBytes;
+    const std::uint64_t key_column = ts_column + format::kColumnHeaderBytes +
+                                     format::get32(file + ts_column + 1);
+    bytes[key_column] = 0x7F;
+    writeBytes(path, bytes.data(), bytes.size());
+
+    std::string want_what;
+    std::uint64_t want_offset = 0;
+    try {
+        TraceReader reader(path);
+        ReplayBlock decoded;
+        reader.readBlock(kBad, decoded);
+        FAIL() << "readBlock accepted the corrupt block";
+    } catch (const TraceFormatError &e) {
+        want_what = e.what();
+        want_offset = e.byteOffset();
+    }
+    EXPECT_EQ(want_offset, key_column);
+
+    ReplayConfig config;
+    config.path = path;
+    config.cacheBytes = 4096;
+    config.assoc = 4;
+    config.policy = PolicyKind::Acl;
+    for (unsigned jobs : {1u, 4u}) {
+        config.jobs = jobs;
+        try {
+            replayTrace(config);
+            ADD_FAILURE() << "jobs " << jobs << ": no error";
+        } catch (const TraceFormatError &e) {
+            EXPECT_EQ(std::string(e.what()), want_what) << "jobs " << jobs;
+            EXPECT_EQ(e.byteOffset(), want_offset) << "jobs " << jobs;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Replayer, EmptyTraceReplaysToZero)
+{
+    const std::string path = writeTrace({}, 64, "empty");
+    ReplayConfig config;
+    config.path = path;
+    for (unsigned jobs : {1u, 4u}) {
+        config.jobs = jobs;
+        const ReplayResult result = replayTrace(config);
+        EXPECT_EQ(result.totals, ReplayTotals{}) << "jobs " << jobs;
+        EXPECT_EQ(result.traceRecords, 0u);
+    }
     std::remove(path.c_str());
 }
 

@@ -35,9 +35,11 @@
  *                [--read-mode mmap|buffered] [--alias-bits N]
  *                [--depreciation F] [--seed N] [--json FILE]
  *       Replays a recorded KV trace (.csrt, see csrtrace) straight
- *       through CacheModel under any online policy.  The summary on
- *       stdout is byte-identical for every --jobs value (the replay
- *       partitions by cache set, see replay/Replayer.h); timing goes
+ *       through CacheModel under any online policy: N replay jobs
+ *       plus one decode thread that decodes each block once.  The
+ *       summary on stdout is byte-identical for every --jobs value
+ *       (the replay partitions by cache set, see replay/Replayer.h);
+ *       timing, decode-stage busy time and job wait included, goes
  *       to stderr.
  *
  *   csrsim sweep --grid table1|fig3|ablation-*|"key=v1,v2;..." \
@@ -445,6 +447,8 @@ runReplay(const CliArgs &args)
                             result.totals.missCostNs);
         registry.setCounter("replay.jobs", result.jobs);
         registry.recordTimerSec("replay.wall", result.wallSec);
+        registry.recordTimerSec("replay.decode", result.decodeSec);
+        registry.recordTimerSec("replay.wait", result.waitSec);
         writeMetricsIfRequested(args, registry);
     }
     return exitcode::kOk;
@@ -531,7 +535,8 @@ usage()
            "  numa:   --clock 500|1000 --hints 0|1 --store-weight W\n"
            "          --max-cycles NS --stall-window NS\n"
            "  replay: --file T.csrt --cache-bytes N --assoc N\n"
-           "          --block-bytes N --jobs N --max-ops N\n"
+           "          --block-bytes N --max-ops N\n"
+           "          --jobs N (N replay jobs plus one decode thread)\n"
            "          --default-cost NS --read-mode mmap|buffered\n"
            "          --depreciation F --json FILE\n"
            "  sweep:  --grid PRESET|\"key=v1,v2;...\" --jobs N --csv 0|1\n"
