@@ -87,8 +87,9 @@ JsonlWriter::appendLine(const std::string &json)
     if (file_ == nullptr)
         return;
     // Fires only for callers with an active FaultInjector::Scope
-    // (unit tests of checkpoint robustness); an injected fault here
-    // behaves like a real failed disk write.
+    // (FaultInjector.EveryProbeSiteFires; a sweep appends outside its
+    // cells' scopes); an injected fault here behaves like a real
+    // failed disk write.
     CSR_FAULT_POINT(FaultSite::CheckpointIO, "journal append");
     const std::lock_guard<std::mutex> lock(mutex_);
     const std::string line = json + "\n";

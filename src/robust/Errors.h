@@ -202,7 +202,8 @@ class CircuitOpenError : public Error
 };
 
 /** A deterministic fault injected by csr::FaultInjector (only ever
- *  raised in builds with -DCSR_FAULT_INJECT=ON). */
+ *  raised inside a FaultInjector::Scope with a rate above 0; see
+ *  FaultInjector.EveryProbeSiteFires in tests/test_robust.cc). */
 class InjectedFaultError : public Error
 {
   public:

@@ -7,9 +7,10 @@
  * injector provides seeded, reproducible fault decisions at named
  * probe points compiled into the simulators:
  *
- *   - probes are only present in builds configured with
- *     -DCSR_FAULT_INJECT=ON (the CSR_FAULT_POINT macro is a no-op
- *     otherwise), so release hot paths carry zero overhead;
+ *   - every build carries the probes; each one sits on a cold
+ *     cadence (one call per 4096 refs or events, or once per file or
+ *     journal line) and does nothing unless a Scope is open with a
+ *     rate above 0;
  *   - decisions are a pure function of (global seed, thread context,
  *     probe site, per-site draw index) -- the same configuration
  *     injects the same faults into the same cells regardless of
@@ -46,19 +47,6 @@ enum class FaultSite : unsigned
 };
 
 const char *faultSiteName(FaultSite site);
-
-/** True when this binary carries the probes (-DCSR_FAULT_INJECT=ON);
- *  lets drivers warn when --fault-rate is asked of a build that
- *  cannot honour it. */
-constexpr bool
-faultInjectionCompiledIn()
-{
-#if defined(CSR_FAULT_INJECT)
-    return true;
-#else
-    return false;
-#endif
-}
 
 /**
  * Process-global injector.  configure() once (from the CLI, before
@@ -122,12 +110,10 @@ class FaultInjector
 } // namespace csr
 
 /**
- * Probe point: in CSR_FAULT_INJECT builds, asks the injector for a
- * decision and throws InjectedFaultError on a hit; compiled out
- * entirely otherwise.  @p what is a short human label for the thrown
- * message.
+ * Probe point: asks the injector for a decision and throws
+ * InjectedFaultError on a hit.  @p what is a short human label for
+ * the thrown message.
  */
-#if defined(CSR_FAULT_INJECT)
 #define CSR_FAULT_POINT(site, what)                                          \
     do {                                                                     \
         if (::csr::FaultInjector::instance().shouldFail(site)) {             \
@@ -136,8 +122,5 @@ class FaultInjector
                 ::csr::faultSiteName(site) + ": " + (what));                 \
         }                                                                    \
     } while (0)
-#else
-#define CSR_FAULT_POINT(site, what) ((void)0)
-#endif
 
 #endif // CSR_ROBUST_FAULTINJECTOR_H

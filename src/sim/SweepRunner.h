@@ -218,8 +218,8 @@ struct SweepOptions
     /**
      * Test hook: runs at the start of every (cell, attempt) inside
      * the per-cell guard.  A throw here is handled exactly like a
-     * simulator failure, which makes the isolation/retry/checkpoint
-     * machinery testable without a fault-injection build.
+     * simulator failure, which lets a test script exactly which
+     * (cell, attempt) fails, where the fault injector only draws.
      */
     std::function<void(const SweepCell &, unsigned attempt)> cellProbe;
 };

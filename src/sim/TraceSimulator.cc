@@ -13,8 +13,8 @@ namespace
 {
 
 /** Cadence of the fault-injection probe in the replay loop: cheap
- *  enough to leave in every CSR_FAULT_INJECT build, frequent enough
- *  that realistic fault rates hit mid-simulation. */
+ *  enough to leave in every build, frequent enough that realistic
+ *  fault rates hit mid-simulation. */
 constexpr std::uint64_t kFaultProbeEveryRefs = 4096;
 
 } // namespace

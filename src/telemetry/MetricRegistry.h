@@ -26,8 +26,8 @@
  * stat() are only safe to mutate single-threaded.
  */
 
-#ifndef CSR_TELEMETRY_METRICREGISTRY_H
-#define CSR_TELEMETRY_METRICREGISTRY_H
+#ifndef CSR_TELEM_METRICREGISTRY_H
+#define CSR_TELEM_METRICREGISTRY_H
 
 #include <cstdint>
 #include <map>
@@ -103,4 +103,4 @@ class MetricRegistry
 
 } // namespace csr
 
-#endif // CSR_TELEMETRY_METRICREGISTRY_H
+#endif // CSR_TELEM_METRICREGISTRY_H

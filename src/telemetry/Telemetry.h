@@ -3,11 +3,10 @@
  * The instrumentation macros every component uses.
  *
  * All tracing in csr goes through these macros rather than direct
- * Tracer calls so that the whole subsystem can be compiled out with
- * -DCSR_TELEMETRY_DISABLED (CMake: -DCSR_TELEMETRY=OFF) and, when
- * compiled in, costs exactly one relaxed load + predictable branch
- * while runtime-disabled.  See Tracer.h for the overhead contract and
- * DESIGN.md "Telemetry" for the event taxonomy.
+ * Tracer calls so that every site costs exactly one relaxed load +
+ * predictable branch while tracing is runtime-disabled.  See Tracer.h
+ * for the overhead contract and DESIGN.md "Telemetry" for the event
+ * taxonomy.
  *
  *   CSR_TRACE_SPAN(cat, name)        RAII duration span; name must be
  *                                    a string literal.
@@ -20,12 +19,10 @@
  *   CSR_TRACE_COUNTER(cat, name, v)  counter sample (Perfetto track).
  */
 
-#ifndef CSR_TELEMETRY_TELEMETRY_H
-#define CSR_TELEMETRY_TELEMETRY_H
+#ifndef CSR_TELEM_TELEMETRY_H
+#define CSR_TELEM_TELEMETRY_H
 
 #include "telemetry/Tracer.h"
-
-#if !defined(CSR_TELEMETRY_DISABLED)
 
 #define CSR_TELEM_CAT2(a, b) a##b
 #define CSR_TELEM_CAT(a, b) CSR_TELEM_CAT2(a, b)
@@ -60,14 +57,4 @@
                 cat, name, static_cast<double>(value));                      \
     } while (0)
 
-#else // CSR_TELEMETRY_DISABLED
-
-#define CSR_TRACE_SPAN(cat, name) ((void)0)
-#define CSR_TRACE_SPAN_DYN(cat, labelExpr) ((void)0)
-#define CSR_TRACE_INSTANT(cat, name) ((void)0)
-#define CSR_TRACE_INSTANT_V(cat, name, value) ((void)0)
-#define CSR_TRACE_COUNTER(cat, name, value) ((void)0)
-
-#endif // CSR_TELEMETRY_DISABLED
-
-#endif // CSR_TELEMETRY_TELEMETRY_H
+#endif // CSR_TELEM_TELEMETRY_H

@@ -12,9 +12,7 @@
  *
  * Overhead contract (see DESIGN.md "Telemetry"):
  *
- *  - compiled out (-DCSR_TELEMETRY_DISABLED), the CSR_TRACE_* macros
- *    expand to nothing;
- *  - compiled in but runtime-disabled (the default), every macro is a
+ *  - runtime-disabled (the default), every CSR_TRACE_* macro is a
  *    single relaxed atomic load and a predictable branch -- no call
  *    into the Tracer is made, which tests/test_telemetry.cc verifies
  *    through the recordCalls() counter;
@@ -34,8 +32,8 @@
  * stays valid for the process lifetime.
  */
 
-#ifndef CSR_TELEMETRY_TRACER_H
-#define CSR_TELEMETRY_TRACER_H
+#ifndef CSR_TELEM_TRACER_H
+#define CSR_TELEM_TRACER_H
 
 #include <atomic>
 #include <chrono>
@@ -204,6 +202,24 @@ class ScopedSpan
     bool active_;
 };
 
+/**
+ * RAII recording session for a driver's --trace FILE: enables the
+ * tracer for the scope and exports the Chrome trace JSON on exit.  A
+ * pathless session records nothing.
+ */
+class TraceSession
+{
+  public:
+    explicit TraceSession(const std::string &path);
+    ~TraceSession();
+
+    TraceSession(const TraceSession &) = delete;
+    TraceSession &operator=(const TraceSession &) = delete;
+
+  private:
+    std::string path_;
+};
+
 } // namespace csr::telemetry
 
-#endif // CSR_TELEMETRY_TRACER_H
+#endif // CSR_TELEM_TRACER_H

@@ -124,6 +124,15 @@ class CliArgs
     bool help_ = false;
 };
 
+/**
+ * Fail fast on an unwritable output path: append-open it (touching
+ * but not truncating an existing file) and remove it again if the
+ * probe itself created it.  A typo'd --metrics directory should abort
+ * the run before the work, not after.  "" is a no-op; otherwise
+ * ConfigError naming --@p flag.
+ */
+void ensureWritable(const std::string &path, const std::string &flag);
+
 } // namespace csr
 
 #endif // CSR_UTIL_CLIARGS_H

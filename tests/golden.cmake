@@ -15,6 +15,13 @@
 #                   and --jobs 4.
 #   sweep_jobs      `csrsim sweep` of a 24-cell test-scale grid prints
 #                   the same table at --jobs 1 and --jobs 4.
+#   sweep_resume    The same grid at --jobs 4, crippled by injected
+#                   faults (--fault-rate 0.3 --fault-seed 7
+#                   --retries 1) with a --checkpoint journal, exits 0
+#                   or 10 and journals at least one failed cell; a
+#                   --resume of that journal with injection off prints
+#                   the clean run's table byte for byte (DESIGN.md
+#                   "Robustness"), and a --validate run exits 0.
 #   serve_workers   Under shard affinity the `csrserve` summary is
 #                   byte-identical for any worker count (DESIGN.md
 #                   §3.4) and any stripe count (§3.6): for lru and acl,
@@ -67,6 +74,23 @@ function(drop_lines out_var text n)
     set(${out_var} "${text}" PARENT_SCOPE)
 endfunction()
 
+# The sweep cases' 24-cell test-scale grid.  Its ';' would split it
+# as a CMake list if it went through run()'s ARGN, so sweep() passes
+# it quoted.
+string(CONCAT grid "benchmarks=lu,barnes;policies=gd,dcl;"
+    "mappings=random,first-touch;ratios=4,inf;hafs=0.1,0.3;scale=test")
+
+# Run `csrsim sweep --grid <grid>` with the flags in ARGN and store its
+# stdout in OUT_VAR; an exit code not in the list OK fails the test.
+function(sweep out_var ok)
+    execute_process(COMMAND "${CSRSIM}" sweep --grid "${grid}" ${ARGN}
+        OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+    if(NOT rc IN_LIST ok)
+        message(FATAL_ERROR "exit ${rc}: sweep ${ARGN}\n${err}")
+    endif()
+    set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
 function(expect_same what want got)
     if(NOT "${want}" STREQUAL "${got}")
         message(FATAL_ERROR
@@ -108,20 +132,25 @@ elseif(CASE STREQUAL "replay_example")
     expect_same("replay --jobs 1 summary" "${golden}" "${jobs1}")
     expect_same("replay --jobs 4 summary" "${golden}" "${jobs4}")
 elseif(CASE STREQUAL "sweep_jobs")
-    # The grid's ';' would split it as a CMake list if it went through
-    # run()'s ARGN, so the sweep is run here, quoted.
-    string(CONCAT grid "benchmarks=lu,barnes;policies=gd,dcl;"
-        "mappings=random,first-touch;ratios=4,inf;hafs=0.1,0.3;scale=test")
-    foreach(jobs 1 4)
-        execute_process(COMMAND "${CSRSIM}" sweep --grid "${grid}"
-            --jobs ${jobs}
-            OUTPUT_VARIABLE jobs${jobs} ERROR_VARIABLE err
-            RESULT_VARIABLE rc)
-        if(NOT rc EQUAL 0)
-            message(FATAL_ERROR "exit ${rc}: sweep --jobs ${jobs}\n${err}")
-        endif()
-    endforeach()
+    sweep(jobs1 0 --jobs 1)
+    sweep(jobs4 0 --jobs 4)
     expect_same("sweep --jobs 4 table" "${jobs1}" "${jobs4}")
+elseif(CASE STREQUAL "sweep_resume")
+    set(journal "${WORK_DIR}/ckpt.jsonl")
+    sweep(clean 0 --jobs 4)
+    # 0 (every cell survived its retry) and 10 (cells failed) are both
+    # legitimate; anything else is a real failure.
+    sweep(ignored "0;10" --jobs 4 --fault-rate 0.3 --fault-seed 7
+        --retries 1 --checkpoint "${journal}")
+    # Exit 0 alone would also pass with every probe dead.
+    file(STRINGS "${journal}" failures REGEX "\"type\":\"failure\"")
+    if(NOT failures)
+        message(FATAL_ERROR "the fault-injected sweep journaled no failed "
+            "cell -- no probe fired")
+    endif()
+    sweep(resumed 0 --jobs 4 --checkpoint "${journal}" --resume)
+    expect_same("resumed sweep table" "${clean}" "${resumed}")
+    sweep(ignored 0 --jobs 4 --validate)
 elseif(CASE STREQUAL "serve_workers")
     foreach(policy lru acl)
         foreach(stripes 1 4)

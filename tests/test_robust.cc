@@ -4,8 +4,8 @@
  * JSONL checkpoint substrate under corrupt and truncated input, the
  * sweep checkpoint codec, per-cell fault isolation and retry,
  * kill-and-resume equivalence, typed trace-file errors, the NUMA
- * stall watchdog, and (in CSR_FAULT_INJECT builds) the deterministic
- * fault injector end to end.
+ * stall watchdog, and the deterministic fault injector end to end,
+ * at every probe site.
  */
 
 #include <algorithm>
@@ -718,11 +718,76 @@ TEST(FaultInjector, NeverFiresOutsideScopeOrWhenDisabled)
     }
 }
 
+/** what() of the InjectedFaultError @p probe throws; "" if none. */
+template <typename Probe>
+std::string
+injectedFault(Probe &&probe)
+{
+    try {
+        probe();
+    } catch (const InjectedFaultError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+// The sweep tests below cover the trace-sim probe; this one drives the
+// trace-load, numa-sim and checkpoint-io probes at rate 1.
+TEST(FaultInjector, EveryProbeSiteFires)
+{
+    TempPath trace("probe_sites.csrt");
+    replay::saveSampledTrace(trace.str(), tinySampledTrace());
+    TempPath journal("probe_sites.jsonl");
+    JsonlWriter writer;
+    writer.open(journal.str(), /*truncate=*/true);
+    writer.appendLine("{\"a\":1}");
+    NumaConfig numa;
+    numa.cycleNs = 1;
+    auto wl = makeWorkload(BenchmarkId::Lu, WorkloadScale::Test, true);
+
+    FaultInjector &injector = FaultInjector::instance();
+    injector.configure(1.0, 7);
+
+    // Outside a scope no site fires, even at rate 1.
+    EXPECT_EQ(replay::loadSampledRecords(trace.str(), 1).size(), 3u);
+    EXPECT_GT(NumaSystem(numa, *wl).run().totalOps, 0u);
+    writer.appendLine("{\"b\":2}");
+    EXPECT_EQ(injector.injectedCount(), 0u);
+
+    std::string load, sim, append;
+    {
+        FaultInjector::Scope scope(1);
+        load = injectedFault(
+            [&] { replay::loadSampledRecords(trace.str(), 1); });
+        sim = injectedFault([&] { NumaSystem(numa, *wl).run(); });
+        append = injectedFault([&] { writer.appendLine("{\"c\":3}"); });
+    }
+    const std::uint64_t injected = injector.injectedCount();
+    injector.configure(0.0, 0);
+
+    EXPECT_NE(load.find(faultSiteName(FaultSite::TraceLoad)),
+              std::string::npos) << load;
+    EXPECT_NE(sim.find(faultSiteName(FaultSite::NumaSim)),
+              std::string::npos) << sim;
+    EXPECT_NE(append.find(faultSiteName(FaultSite::CheckpointIO)),
+              std::string::npos) << append;
+    EXPECT_EQ(injected, 3u);
+
+    // The failed append wrote nothing: the journal still holds the
+    // earlier lines, whole, and takes the next one.
+    writer.appendLine("{\"d\":4}");
+    writer.close();
+    const auto records = readJsonlFile(journal.str());
+    ASSERT_EQ(records.size(), 3u);
+    EXPECT_EQ(records[0].text, "{\"a\":1}");
+    EXPECT_EQ(records[1].text, "{\"b\":2}");
+    EXPECT_EQ(records[2].text, "{\"d\":4}");
+    for (const JsonlRecord &record : records)
+        EXPECT_TRUE(record.terminated);
+}
+
 TEST(FaultInjector, CompiledProbesInjectIntoSweepCells)
 {
-    if (!faultInjectionCompiledIn())
-        GTEST_SKIP() << "built without -DCSR_FAULT_INJECT=ON";
-
     FaultInjector &injector = FaultInjector::instance();
     injector.configure(1.0, 99);
 
@@ -741,9 +806,6 @@ TEST(FaultInjector, CompiledProbesInjectIntoSweepCells)
 
 TEST(FaultInjector, InjectedSweepIsRepeatable)
 {
-    if (!faultInjectionCompiledIn())
-        GTEST_SKIP() << "built without -DCSR_FAULT_INJECT=ON";
-
     FaultInjector &injector = FaultInjector::instance();
     SweepOptions options;
     options.maxAttempts = 4;

@@ -666,8 +666,6 @@ TEST(LoadHarness, SlowTierMissCostP99IsNotClamped)
 // Telemetry from serve worker threads
 // ---------------------------------------------------------------------------
 
-#if !defined(CSR_TELEMETRY_DISABLED)
-
 TEST(ServeTelemetry, ConcurrentWorkersProduceBalancedValidTrace)
 {
     telemetry::Tracer::instance().clear();
@@ -695,8 +693,6 @@ TEST(ServeTelemetry, ConcurrentWorkersProduceBalancedValidTrace)
     EXPECT_TRUE(validator.valid());
     telemetry::Tracer::instance().clear();
 }
-
-#endif // !CSR_TELEMETRY_DISABLED
 
 TEST(ServeTelemetry, ConcurrentMetricExportIsValidJson)
 {

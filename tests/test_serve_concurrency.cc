@@ -327,8 +327,6 @@ TEST(ServeSeqlock, EndStateMatchesLockedPathAtOneWorkerWhenStriped)
     }
 }
 
-#if !defined(CSR_TELEMETRY_DISABLED)
-
 /**
  * A saturated access log is counted apart from contention fallbacks.
  * With the stripe held and a capacity-2 log, two hits are served
@@ -382,8 +380,6 @@ TEST(ServeSeqlock, FullAccessLogIsCountedApartFromContention)
     EXPECT_EQ(totals.lockedFallbacks, 0u);
     service.checkInvariants();
 }
-
-#endif // !CSR_TELEMETRY_DISABLED
 
 TEST(ServeSeqlock, FreeAffinityHarnessRunValidatesClean)
 {

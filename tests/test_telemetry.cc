@@ -214,8 +214,6 @@ class TracingScope
 // Tracer
 // ---------------------------------------------------------------------------
 
-#if !defined(CSR_TELEMETRY_DISABLED)
-
 TEST(Tracer, ExportsValidChromeTraceJson)
 {
     TracingScope scope;
@@ -345,8 +343,6 @@ TEST(Tracer, FullRingKeepsTheNewestEventsAndCountsTheDropped)
     tracer.exportMetrics(registry);
     EXPECT_EQ(registry.counter("trace.dropped_events"), 0u);
 }
-
-#endif // !CSR_TELEMETRY_DISABLED
 
 // ---------------------------------------------------------------------------
 // MetricRegistry

@@ -61,7 +61,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -88,58 +87,6 @@ using namespace csr::serve;
 
 namespace
 {
-
-/** Fail fast on an unwritable output path (csrsim's probe). */
-void
-ensureWritable(const std::string &path, const std::string &flag)
-{
-    if (path.empty())
-        return;
-    std::FILE *pre = std::fopen(path.c_str(), "rb");
-    const bool existed = pre != nullptr;
-    if (pre)
-        std::fclose(pre);
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f)
-        throw ConfigError("--" + flag + ": cannot open '" + path +
-                          "' for writing");
-    std::fclose(f);
-    if (!existed)
-        std::remove(path.c_str());
-}
-
-/** RAII --trace recording session (csrsim's). */
-class TraceSession
-{
-  public:
-    explicit TraceSession(const std::string &path) : path_(path)
-    {
-        if (path_.empty())
-            return;
-#if defined(CSR_TELEMETRY_DISABLED)
-        warn("built with CSR_TELEMETRY=OFF: '%s' will contain no "
-             "events", path_.c_str());
-#endif
-        telemetry::Tracer::instance().clear();
-        telemetry::setTracingEnabled(true);
-    }
-
-    ~TraceSession()
-    {
-        if (path_.empty())
-            return;
-        telemetry::setTracingEnabled(false);
-        telemetry::Tracer::instance().writeChromeTrace(path_);
-        inform("wrote %zu trace events to %s",
-               telemetry::Tracer::instance().eventCount(), path_.c_str());
-    }
-
-    TraceSession(const TraceSession &) = delete;
-    TraceSession &operator=(const TraceSession &) = delete;
-
-  private:
-    std::string path_;
-};
 
 /**
  * RAII --record capture: a replay::TraceWriter behind a mutex,
@@ -341,7 +288,7 @@ runServer(const CliArgs &args)
     std::signal(SIGTERM, onSignal);
 
     {
-        const TraceSession session(args.tracePath());
+        const telemetry::TraceSession session(args.tracePath());
         server.start();
         // The resolved port on stdout so a script driving port 0 can
         // scrape it; everything else to stderr.
@@ -412,7 +359,7 @@ runClient(const CliArgs &args)
     const net::ClientConfig config = net::ClientConfig::fromArgs(args);
     net::ClientResult result;
     {
-        const TraceSession session(args.tracePath());
+        const telemetry::TraceSession session(args.tracePath());
         result = net::runClientLoad(config);
     }
 
@@ -467,7 +414,7 @@ runInProcess(const CliArgs &args)
 
     HarnessResult result;
     {
-        const TraceSession session(args.tracePath());
+        const telemetry::TraceSession session(args.tracePath());
         result = runLoad(service, harness_config);
     }
     recorder.finish();

@@ -67,9 +67,8 @@
  *   --metrics FILE  dump the run's unified metrics (counters, stats,
  *                   histograms) as JSON.
  *
- * Fault-injection builds (-DCSR_FAULT_INJECT=ON) additionally honour
- * --fault-rate F --fault-seed N, seeding deterministic failures at
- * the compiled probe points.
+ * --fault-rate F --fault-seed N seed deterministic failures at the
+ * fault-injection probe points (src/robust/FaultInjector.h).
  *
  * Output paths (--trace/--metrics/--json/--checkpoint/--save-trace)
  * are probed for writability *before* the run starts, so a typo'd
@@ -82,7 +81,6 @@
  * completed with failed cells.
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -136,30 +134,6 @@ policyFromArgs(const CliArgs &args, const std::string &fallback)
                       policyNamesJoined(" ") + ")");
 }
 
-/**
- * Fail fast on an unwritable output path: append-open it (touching
- * but not truncating an existing file) and remove it again if the
- * probe itself created it.  A typo'd --metrics directory should
- * abort the run before the simulation, not after.
- */
-void
-ensureWritable(const std::string &path, const std::string &flag)
-{
-    if (path.empty())
-        return;
-    std::FILE *pre = std::fopen(path.c_str(), "rb");
-    const bool existed = pre != nullptr;
-    if (pre)
-        std::fclose(pre);
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f)
-        throw ConfigError("--" + flag + ": cannot open '" + path +
-                          "' for writing");
-    std::fclose(f);
-    if (!existed)
-        std::remove(path.c_str());
-}
-
 /** Probe every output path a mode may write, before it runs. */
 void
 checkOutputPaths(const CliArgs &args)
@@ -178,50 +152,9 @@ configureFaultInjection(const CliArgs &args)
     const double rate = args.getDouble("fault-rate", 0.0);
     if (rate < 0.0 || rate > 1.0)
         throw ConfigError("--fault-rate must be in [0,1]");
-    if (rate > 0.0 && !faultInjectionCompiledIn())
-        warn("this build has no fault-injection probes "
-             "(-DCSR_FAULT_INJECT=OFF); --fault-rate %.3f will inject "
-             "nothing", rate);
     FaultInjector::instance().configure(rate,
                                         args.getUInt("fault-seed", 1));
 }
-
-/**
- * RAII recording session for --trace: enables the tracer for the
- * scope and exports the Chrome trace JSON on exit.  A default
- * (pathless) session records nothing.
- */
-class TraceSession
-{
-  public:
-    explicit TraceSession(const std::string &path) : path_(path)
-    {
-        if (path_.empty())
-            return;
-#if defined(CSR_TELEMETRY_DISABLED)
-        warn("built with CSR_TELEMETRY=OFF: '%s' will contain no "
-             "events", path_.c_str());
-#endif
-        telemetry::Tracer::instance().clear();
-        telemetry::setTracingEnabled(true);
-    }
-
-    ~TraceSession()
-    {
-        if (path_.empty())
-            return;
-        telemetry::setTracingEnabled(false);
-        telemetry::Tracer::instance().writeChromeTrace(path_);
-        inform("wrote %zu trace events to %s",
-               telemetry::Tracer::instance().eventCount(), path_.c_str());
-    }
-
-    TraceSession(const TraceSession &) = delete;
-    TraceSession &operator=(const TraceSession &) = delete;
-
-  private:
-    std::string path_;
-};
 
 void
 writeMetricsIfRequested(const CliArgs &args, const MetricRegistry &registry)
@@ -297,7 +230,7 @@ runTrace(const CliArgs &args)
     TraceSimResult res;
     double lru_cost = 0.0;
     {
-        const TraceSession session(args.tracePath());
+        const telemetry::TraceSession session(args.tracePath());
         res = study.run(kind, model, params);
         lru_cost = study.lruCost(model);
     }
@@ -366,7 +299,7 @@ runNuma(const CliArgs &args)
     NumaSystem sys(config, *workload);
     NumaResult res;
     {
-        const TraceSession session(args.tracePath());
+        const telemetry::TraceSession session(args.tracePath());
         res = sys.run();
     }
 
@@ -409,7 +342,7 @@ runReplay(const CliArgs &args)
         replay::ReplayConfig::fromArgs(args);
     replay::ReplayResult result;
     {
-        const TraceSession session(args.tracePath());
+        const telemetry::TraceSession session(args.tracePath());
         result = replay::replayTrace(config);
     }
 
@@ -474,7 +407,7 @@ runSweep(const CliArgs &args)
     const SweepRunner runner(args.jobs());
     SweepResult result;
     {
-        const TraceSession session(args.tracePath());
+        const telemetry::TraceSession session(args.tracePath());
         result = runner.run(grid, options);
     }
 
@@ -527,7 +460,7 @@ usage()
            "          --procs N --refs N --seed N --validate\n"
            "          --trace FILE (Chrome trace JSON, see Perfetto)\n"
            "          --metrics FILE (unified metrics JSON)\n"
-           "          --fault-rate F --fault-seed N (inject builds)\n"
+           "          --fault-rate F --fault-seed N (fault injection)\n"
            "  trace:  --mapping random|first-touch --ratio R --haf F\n"
            "          --assoc N --l2 BYTES --depreciation F\n"
            "          --save-trace F.csrt --load-trace F.csrt\n"
