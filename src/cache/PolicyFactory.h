@@ -64,6 +64,22 @@ const std::vector<std::string> &listPolicyNames();
 /** listPolicyNames() joined with @p sep ("|" for usage strings). */
 std::string policyNamesJoined(const std::string &sep = "|");
 
+/** The online policies only: listPolicyNames() without the offline
+ *  oracles opt and costopt, which need the whole future and so cannot
+ *  drive a live service or a streamed replay.  Inline: only help
+ *  text and tests call it, so the policy library's code stays as is. */
+inline std::string
+onlinePolicyNamesJoined(const std::string &sep = "|")
+{
+    std::string out;
+    for (const std::string &name : listPolicyNames()) {
+        const PolicyKind kind = *parsePolicyKind(name);
+        if (kind != PolicyKind::Opt && kind != PolicyKind::CostOpt)
+            out += (out.empty() ? "" : sep) + name;
+    }
+    return out;
+}
+
 /** Display name matching the paper's terminology. */
 std::string policyKindName(PolicyKind kind);
 

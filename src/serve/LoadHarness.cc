@@ -1,13 +1,11 @@
 #include "serve/LoadHarness.h"
 
-#include <algorithm>
 #include <chrono>
 #include <ostream>
 #include <thread>
 #include <vector>
 
-#include "replay/Format.h"
-#include "replay/TraceReader.h"
+#include "replay/ForEachRecord.h"
 #include "robust/Errors.h"
 #include "telemetry/MetricRegistry.h"
 #include "telemetry/Telemetry.h"
@@ -221,30 +219,16 @@ runLoad(CacheService &service, const HarnessConfig &config)
     } else {
         CSR_TRACE_SPAN("serve", "harness.load_trace");
         replay::TraceReader reader(config.replayPath);
-        total_ops = config.ops
-                        ? std::min(config.ops, reader.recordCount())
-                        : reader.recordCount();
+        total_ops = replay::recordsWithin(reader, config.ops);
         for (auto &ops : plan)
             ops.reserve(
                 static_cast<std::size_t>(total_ops / workers + 1));
-        replay::ReplayBlock block;
         std::uint64_t i = 0;
-        for (std::uint64_t b = 0;
-             b < reader.blockCount() && i < total_ops; ++b) {
-            reader.readBlock(b, block);
-            for (std::size_t r = 0;
-                 r < block.size() && i < total_ops; ++r, ++i) {
-                Op op;
-                op.key = block.key[r];
-                op.write = block.op[r] ==
-                           static_cast<std::uint8_t>(
-                               replay::TraceOp::Set);
-                op.del = block.op[r] ==
-                         static_cast<std::uint8_t>(
-                             replay::TraceOp::Del);
-                place(i, op);
-            }
-        }
+        replay::forEachRecord(
+            reader, total_ops, [&](Addr key, replay::TraceOp op) {
+                place(i++, Op{key, op == replay::TraceOp::Set,
+                              op == replay::TraceOp::Del});
+            });
     }
 
     std::vector<WorkerOutput> outputs(workers);

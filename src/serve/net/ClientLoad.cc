@@ -1,14 +1,12 @@
 #include "serve/net/ClientLoad.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <thread>
 #include <vector>
 
-#include "replay/Format.h"
-#include "replay/TraceReader.h"
+#include "replay/ForEachRecord.h"
 #include "robust/Errors.h"
 #include "serve/net/NetCommon.h"
 #include "serve/net/RespClient.h"
@@ -117,28 +115,12 @@ runClientLoad(const ClientConfig &config)
     } else {
         CSR_TRACE_SPAN("net", "client.load_trace");
         replay::TraceReader reader(config.harness.replayPath);
-        total_ops =
-            config.harness.ops
-                ? std::min(config.harness.ops, reader.recordCount())
-                : reader.recordCount();
-        replay::ReplayBlock block;
-        std::uint64_t i = 0;
-        for (std::uint64_t b = 0;
-             b < reader.blockCount() && i < total_ops; ++b) {
-            reader.readBlock(b, block);
-            for (std::size_t r = 0;
-                 r < block.size() && i < total_ops; ++r, ++i) {
-                Op op;
-                op.key = block.key[r];
-                op.write = block.op[r] ==
-                           static_cast<std::uint8_t>(
-                               replay::TraceOp::Set);
-                op.del = block.op[r] ==
-                         static_cast<std::uint8_t>(
-                             replay::TraceOp::Del);
-                place(op);
-            }
-        }
+        total_ops = replay::recordsWithin(reader, config.harness.ops);
+        replay::forEachRecord(
+            reader, total_ops, [&](Addr key, replay::TraceOp op) {
+                place(Op{key, op == replay::TraceOp::Set,
+                         op == replay::TraceOp::Del});
+            });
     }
 
     std::vector<ConnOutput> outputs(config.connections);

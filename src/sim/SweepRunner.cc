@@ -136,11 +136,18 @@ buildFileTracesWith(ThreadPool &pool,
     unique.erase(std::unique(unique.begin(), unique.end()),
                  unique.end());
 
+    // A file carries no page placement: homeOf and the Table 1
+    // characteristics stay empty, and expand() admits only the
+    // random cost mapping for these cells.
     std::vector<std::shared_ptr<const SampledTrace>> built(
         unique.size());
     parallelFor(pool, unique.size(), [&](std::size_t i) {
-        built[i] = std::make_shared<const SampledTrace>(
-            replay::loadReplaySampledTrace(unique[i], block_bytes));
+        SampledTrace trace;
+        trace.benchmark = replay::traceCellName(unique[i]);
+        trace.blockBytes = block_bytes;
+        trace.records = replay::loadSampledRecords(
+            unique[i], trace.sampledProc, block_bytes);
+        built[i] = std::make_shared<const SampledTrace>(std::move(trace));
     });
 
     FileTraceMap traces;
@@ -242,6 +249,14 @@ SweepCell::label() const
 std::vector<SweepCell>
 SweepGrid::expand() const
 {
+    if (!traceFiles.empty() &&
+        std::find(mappings.begin(), mappings.end(),
+                  CostMapping::FirstTouch) != mappings.end())
+        throw ConfigError("mappings=first-touch needs the page "
+                          "placement of a generated benchmark, and a "
+                          ".csrt file carries none: use "
+                          "mappings=random with traces=");
+
     // The HAF axis only parameterizes the random mapping; collapse it
     // for first-touch cells instead of emitting duplicates.
     const std::vector<double> one_haf = {0.0};

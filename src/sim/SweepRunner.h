@@ -104,10 +104,11 @@ struct SweepGrid
     std::vector<BenchmarkId> benchmarks = paperBenchmarks();
     /** Recorded .csrt traces (grid key "traces=a.csrt,b.csrt").  When
      *  non-empty this REPLACES the benchmarks axis: each file becomes
-     *  a workload source cell, loaded via
-     *  replay::loadReplaySampledTrace.  Empty (the default) leaves
-     *  synthetic grids -- and their checkpoint fingerprints --
-     *  untouched. */
+     *  a workload source cell, read by replay::loadSampledRecords
+     *  exactly as csrsim trace --load-trace reads it.  A file has no
+     *  page placement, so expand() throws ConfigError if mappings
+     *  holds FirstTouch.  Empty (the default) leaves synthetic grids
+     *  -- and their checkpoint fingerprints -- untouched. */
     std::vector<std::string> traceFiles;
     std::vector<PolicyKind> policies = paperPolicies();
     std::vector<CostMapping> mappings = {CostMapping::Random};

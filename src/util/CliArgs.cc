@@ -92,7 +92,7 @@ CliArgs::parse(int argc, char **argv, int first,
             continue;
         }
         if (contains(valueless, key)) {
-            values_[key] = "1";
+            values_[key] = '1';
             continue;
         }
         if (i + 1 >= argc)

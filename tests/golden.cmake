@@ -15,6 +15,11 @@
 #                   and --jobs 4.
 #   sweep_jobs      `csrsim sweep` of a 24-cell test-scale grid prints
 #                   the same table at --jobs 1 and --jobs 4.
+#   sweep_trace     A trace saved by `csrsim trace --scale test
+#                   --save-trace F` runs the same study under
+#                   `--load-trace F` and as the sweep cell
+#                   `traces=F;policies=lru`: equal sampled refs and L2
+#                   misses, for every benchmark.
 #   sweep_resume    The same grid at --jobs 4, crippled by injected
 #                   faults (--fault-rate 0.3 --fault-seed 7
 #                   --retries 1) with a --checkpoint journal, exits 0
@@ -36,6 +41,12 @@
 #                   0.5 net.sends per GET/SET: a decode pass sends its
 #                   replies in one send(2), where one send per reply
 #                   reads exactly 1.0.
+#   serve_replay    `csrserve --replay T` over RESP on loopback prints
+#                   the in-process summary (client and server, acl,
+#                   4 shards, seed 7) for two traces: a 200k-op Zipf
+#                   recording (`csrtrace record`, checksum verified)
+#                   and the LU sampled trace at --scale test, 71% of
+#                   whose records are DELs.
 #   serve_chaos     A loopback `csrserve --listen --validate` with
 #                   deterministic fault injection live (--chaos-rate
 #                   0.02: short writes, deferred accepts, backend
@@ -98,6 +109,89 @@ function(expect_same what want got)
     endif()
 endfunction()
 
+# Serve RESP on loopback.  Start `csrserve --listen 127.0.0.1:0
+# <SERVER args>` in the background (only a shell can keep it running
+# while the client drives it), wait for its "listening HOST:PORT"
+# line, run `csrserve --connect HOST:PORT <CLIENT args>`, then stop
+# the server with SIGTERM, which prints its summary.  With CHECK_FDS
+# the server's /proc/<pid>/fd table must also be back at its
+# pre-client size once the client is gone.  A failure fails the test
+# with both logs; otherwise the client's and the server's summaries
+# minus their endpoint-naming first lines ("listening ..." and the
+# server's title) go to `wire` and `server`.
+function(loopback dir)
+    cmake_parse_arguments(PARSE_ARGV 1 arg "CHECK_FDS" "" "SERVER;CLIENT")
+    list(LENGTH arg_SERVER nserver)
+    file(MAKE_DIRECTORY "${dir}")
+    if(arg_CHECK_FDS)
+        set(check_fds 1)
+    else()
+        set(check_fds 0)
+    endif()
+    execute_process(COMMAND sh -c [=[
+        bin=$1 dir=$2 check_fds=$3 n=$4
+        shift 4
+        # "$@" holds the server's n arguments, then the client's; the
+        # subshell keeps the first n and becomes the server.
+        (
+            i=0
+            for a do
+                shift
+                [ $i -lt "$n" ] && set -- "$@" "$a"
+                i=$((i + 1))
+            done
+            exec "$bin" --listen 127.0.0.1:0 "$@"
+        ) > "$dir/server.txt" 2> "$dir/server.log" &
+        srv=$!
+        shift "$n"
+        port= tries=0
+        while [ -z "$port" ] && [ $tries -lt 100 ]; do
+            sleep 0.1
+            tries=$((tries + 1))
+            port=$(sed -n 's/^listening .*:\([0-9]*\)$/\1/p' \
+                "$dir/server.txt")
+        done
+        rc=1
+        if [ -n "$port" ]; then
+            fds_before=$(ls "/proc/$srv/fd" | wc -l)
+            "$bin" --connect "127.0.0.1:$port" "$@" \
+                > "$dir/wire.txt" 2> "$dir/wire.log"
+            rc=$?
+            if [ "$check_fds" = 1 ]; then
+                # Let the server reap the closed connections (and any
+                # still-parked deferred accepts) first.
+                sleep 1
+                fds_after=$(ls "/proc/$srv/fd" | wc -l)
+                if [ "$fds_after" -ne "$fds_before" ]; then
+                    echo "fd leak: $fds_before fds before the client," \
+                        "$fds_after after" >> "$dir/wire.log"
+                    ls -l "/proc/$srv/fd" >> "$dir/wire.log"
+                    rc=1
+                fi
+            fi
+        else
+            echo "server never printed its port" > "$dir/wire.log"
+        fi
+        kill -TERM "$srv"
+        wait "$srv" || rc=1
+        exit $rc
+        ]=] sh "${CSRSERVE}" "${dir}" ${check_fds} ${nserver}
+            ${arg_SERVER} ${arg_CLIENT}
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        file(READ "${dir}/wire.log" client_log)
+        file(READ "${dir}/server.log" server_log)
+        message(FATAL_ERROR "loopback run in ${dir} failed (exit ${rc})\n"
+            "--- client\n${client_log}\n--- server\n${server_log}")
+    endif()
+    file(READ "${dir}/wire.txt" wire)
+    file(READ "${dir}/server.txt" server)
+    drop_lines(wire "${wire}" 1)
+    drop_lines(server "${server}" 2)
+    set(wire "${wire}" PARENT_SCOPE)
+    set(server "${server}" PARENT_SCOPE)
+endfunction()
+
 if(CASE STREQUAL "trace_csrt")
     foreach(bench barnes lu ocean raytrace)
         set(cmd "${CSRSIM}" trace --benchmark ${bench} --policy dcl
@@ -135,6 +229,30 @@ elseif(CASE STREQUAL "sweep_jobs")
     sweep(jobs1 0 --jobs 1)
     sweep(jobs4 0 --jobs 4)
     expect_same("sweep --jobs 4 table" "${jobs1}" "${jobs4}")
+elseif(CASE STREQUAL "sweep_trace")
+    if(CMAKE_VERSION VERSION_LESS 3.19)
+        message(FATAL_ERROR "sweep_trace reads JSON with string(JSON), "
+            "which needs CMake 3.19")
+    endif()
+    foreach(bench barnes lu ocean raytrace)
+        set(file "${WORK_DIR}/${bench}.csrt")
+        set(cmd "${CSRSIM}" trace --benchmark ${bench} --policy lru
+            --scale test)
+        run(ignored ${cmd} --save-trace "${file}")
+        run(ignored ${cmd} --load-trace "${file}"
+            --metrics "${WORK_DIR}/${bench}_trace.json")
+        set(grid "traces=${file};policies=lru")
+        sweep(ignored 0 --jobs 1 --json "${WORK_DIR}/${bench}_sweep.json")
+        file(READ "${WORK_DIR}/${bench}_trace.json" trace)
+        file(READ "${WORK_DIR}/${bench}_sweep.json" cell)
+        foreach(pair "sampled_refs;sampledRefs" "l2_misses;l2Misses")
+            list(GET pair 0 counter)
+            list(GET pair 1 field)
+            string(JSON want GET "${trace}" counters trace.${counter})
+            string(JSON got GET "${cell}" cells 0 ${field})
+            expect_same("${bench} traces= cell ${field}" "${want}" "${got}")
+        endforeach()
+    endforeach()
 elseif(CASE STREQUAL "sweep_resume")
     set(journal "${WORK_DIR}/ckpt.jsonl")
     sweep(clean 0 --jobs 4)
@@ -175,50 +293,13 @@ elseif(CASE STREQUAL "serve_wire")
     drop_lines(want "${inproc}" 1)
     foreach(stripes 1 4)
         set(dir "${WORK_DIR}/s${stripes}")
-        file(MAKE_DIRECTORY "${dir}")
-        # Only a shell can keep the server running in the background
-        # while the client drives it, then stop it with SIGTERM (which
-        # prints its summary).  It prints "listening HOST:PORT" first.
-        execute_process(COMMAND sh -c [=[
-            bin=$1 stripes=$2 dir=$3
-            "$bin" --listen 127.0.0.1:0 --net-workers 2 --policy acl \
-                --seed 7 --stripes "$stripes" --validate \
-                --metrics "$dir/metrics.json" \
-                > "$dir/server.txt" 2> "$dir/server.log" &
-            srv=$!
-            port= tries=0
-            while [ -z "$port" ] && [ $tries -lt 100 ]; do
-                sleep 0.1
-                tries=$((tries + 1))
-                port=$(sed -n 's/^listening .*:\([0-9]*\)$/\1/p' \
-                    "$dir/server.txt")
-            done
-            rc=1
-            if [ -n "$port" ]; then
-                "$bin" --connect "127.0.0.1:$port" --connections 3 \
-                    --pipeline 64 --workload zipf --ops 200000 \
-                    --keys 65536 --seed 7 --shards 8 --expect-fresh \
-                    > "$dir/wire.txt" 2> "$dir/wire.log"
-                rc=$?
-            else
-                echo "server never printed its port" > "$dir/wire.log"
-            fi
-            kill -TERM "$srv"
-            wait "$srv" || rc=1
-            exit $rc
-            ]=] sh "${CSRSERVE}" ${stripes} "${dir}"
-            RESULT_VARIABLE rc)
-        if(NOT rc EQUAL 0)
-            file(READ "${dir}/wire.log" client_log)
-            file(READ "${dir}/server.log" server_log)
-            message(FATAL_ERROR "loopback run at --stripes ${stripes} "
-                "failed (exit ${rc})\n--- client\n${client_log}\n"
-                "--- server\n${server_log}")
-        endif()
-        file(READ "${dir}/wire.txt" wire)
-        file(READ "${dir}/server.txt" server)
-        drop_lines(wire "${wire}" 1)
-        drop_lines(server "${server}" 2) # "listening ..." and the title
+        loopback("${dir}"
+            SERVER --net-workers 2 --policy acl --seed 7
+                --stripes ${stripes} --validate
+                --metrics "${dir}/metrics.json"
+            CLIENT --connections 3 --pipeline 64 --workload zipf
+                --ops 200000 --keys 65536 --seed 7 --shards 8
+                --expect-fresh)
         expect_same("--stripes ${stripes} client summary" "${want}"
             "${wire}")
         expect_same("--stripes ${stripes} server summary" "${want}"
@@ -239,67 +320,45 @@ elseif(CASE STREQUAL "serve_wire")
                 "command")
         endif()
     endforeach()
+elseif(CASE STREQUAL "serve_replay")
+    set(zipf "${WORK_DIR}/zipf.csrt")
+    run(ignored "${CSRTRACE}" record --out "${zipf}" --ops 200000
+        --workload zipf --keys 65536 --write-frac 0.25 --seed 7)
+    run(ignored "${CSRTRACE}" verify --file "${zipf}")
+    run(ignored "${CSRTRACE}" info --file "${zipf}")
+    set(lu "${WORK_DIR}/lu.csrt")
+    run(ignored "${CSRSIM}" trace --benchmark lu --policy lru
+        --scale test --save-trace "${lu}")
+    foreach(name zipf lu)
+        run(inproc "${CSRSERVE}" --replay "${${name}}" --policy acl
+            --shards 4 --workers 1 --seed 7)
+        # The title row names the trace path or the endpoint.
+        drop_lines(want "${inproc}" 1)
+        # --shards must match the server's: the client partitions the
+        # trace by owning shard so each connection keeps per-shard op
+        # order.
+        loopback("${WORK_DIR}/${name}"
+            SERVER --net-workers 2 --policy acl --shards 4 --seed 7
+                --validate
+            CLIENT --replay "${${name}}" --connections 3 --pipeline 64
+                --shards 4 --seed 7 --expect-fresh)
+        expect_same("${name} client summary" "${want}" "${wire}")
+        expect_same("${name} server summary" "${want}" "${server}")
+    endforeach()
 elseif(CASE STREQUAL "serve_chaos")
     foreach(seed 42 1337)
         foreach(run a b)
-            set(dir "${WORK_DIR}/${seed}_${run}")
-            file(MAKE_DIRECTORY "${dir}")
-            # As in serve_wire, a shell keeps the server in the
-            # background; it also reads the server's fd table.
-            execute_process(COMMAND sh -c [=[
-                bin=$1 seed=$2 dir=$3
-                "$bin" --listen 127.0.0.1:0 --net-workers 2 --policy acl \
-                    --seed 7 --stripes 4 --validate \
-                    --chaos-rate 0.02 --chaos-seed "$seed" \
-                    > "$dir/server.txt" 2> "$dir/server.log" &
-                srv=$!
-                port= tries=0
-                while [ -z "$port" ] && [ $tries -lt 100 ]; do
-                    sleep 0.1
-                    tries=$((tries + 1))
-                    port=$(sed -n 's/^listening .*:\([0-9]*\)$/\1/p' \
-                        "$dir/server.txt")
-                done
-                rc=1
-                if [ -n "$port" ]; then
-                    fds_before=$(ls "/proc/$srv/fd" | wc -l)
-                    "$bin" --connect "127.0.0.1:$port" --connections 3 \
-                        --pipeline 64 --workload zipf --ops 200000 \
-                        --keys 65536 --seed 7 --shards 8 --allow-errors \
-                        > "$dir/wire.txt" 2> "$dir/wire.log"
-                    rc=$?
-                    # Let the server reap the closed connections (and
-                    # any still-parked deferred accepts) first.
-                    sleep 1
-                    fds_after=$(ls "/proc/$srv/fd" | wc -l)
-                    if [ "$fds_after" -ne "$fds_before" ]; then
-                        echo "fd leak: $fds_before fds before the client," \
-                            "$fds_after after" >> "$dir/wire.log"
-                        ls -l "/proc/$srv/fd" >> "$dir/wire.log"
-                        rc=1
-                    fi
-                else
-                    echo "server never printed its port" > "$dir/wire.log"
-                fi
-                kill -TERM "$srv"
-                wait "$srv" || rc=1
-                exit $rc
-                ]=] sh "${CSRSERVE}" ${seed} "${dir}"
-                RESULT_VARIABLE rc)
-            if(NOT rc EQUAL 0)
-                file(READ "${dir}/wire.log" client_log)
-                file(READ "${dir}/server.log" server_log)
-                message(FATAL_ERROR "chaos seed ${seed} run ${run} failed "
-                    "(exit ${rc})\n--- client\n${client_log}\n"
-                    "--- server\n${server_log}")
-            endif()
+            loopback("${WORK_DIR}/${seed}_${run}" CHECK_FDS
+                SERVER --net-workers 2 --policy acl --seed 7 --stripes 4
+                    --validate --chaos-rate 0.02 --chaos-seed ${seed}
+                CLIENT --connections 3 --pipeline 64 --workload zipf
+                    --ops 200000 --keys 65536 --seed 7 --shards 8
+                    --allow-errors)
             # The client's title and the server's "listening" line
             # name the ephemeral port; the server's title names the
             # chaos seed, which the cross-seed check must not lean on.
-            file(READ "${dir}/wire.txt" wire)
-            file(READ "${dir}/server.txt" server)
-            drop_lines(wire_${seed}_${run} "${wire}" 1)
-            drop_lines(server_${seed}_${run} "${server}" 2)
+            set(wire_${seed}_${run} "${wire}")
+            set(server_${seed}_${run} "${server}")
         endforeach()
         expect_same("chaos seed ${seed} server summary"
             "${server_${seed}_a}" "${server_${seed}_b}")

@@ -33,6 +33,7 @@
 #include "serve/KeyGenerator.h"
 #include "serve/LoadHarness.h"
 #include "serve/SyntheticBackend.h"
+#include "sim/SweepRunner.h"
 #include "sim/TraceStudy.h"
 #include "trace/WorkloadFactory.h"
 #include "util/CliArgs.h"
@@ -822,15 +823,27 @@ TEST(SweepTrace, LoadsDeterministicallyAndNamesCells)
     EXPECT_EQ(traceCellName("/a/b/twitter_c12.csrt"), "twitter_c12");
     EXPECT_EQ(traceCellName("plain.csrt"), "plain");
 
-    const std::string path = recordedZipfTrace(2'000, 5);
-    const SampledTrace a = loadReplaySampledTrace(path, 64);
-    const SampledTrace b = loadReplaySampledTrace(path, 64);
-    EXPECT_GT(a.records.size(), 0u);
-    EXPECT_EQ(a.records.size(), b.records.size());
-    EXPECT_EQ(a.sampledRefs, b.sampledRefs);
-    EXPECT_EQ(a.touchedBytes, b.touchedBytes);
-    EXPECT_EQ(a.remoteAccessFraction, b.remoteAccessFraction);
-    EXPECT_EQ(a.homeOf, b.homeOf);
+    // A key is a block number; GET/SET are the sampled processor's
+    // loads and stores, a DEL another processor's write.
+    const std::string path = tempPath("sampled_ops");
+    {
+        TraceWriter writer(path);
+        const std::vector<std::pair<std::uint64_t, TraceOp>> ops = {
+            {5, TraceOp::Get}, {6, TraceOp::Set}, {5, TraceOp::Del}};
+        for (const auto &[key, op] : ops) {
+            ReplayRecord rec;
+            rec.key = key;
+            rec.op = op;
+            writer.append(rec);
+        }
+        writer.finish();
+    }
+    const std::vector<TraceRecord> a = loadSampledRecords(path, 3, 64);
+    const std::vector<TraceRecord> b = loadSampledRecords(path, 3, 64);
+    EXPECT_EQ(a, b);
+    const std::vector<TraceRecord> want = {
+        {5 * 64, 3, false}, {6 * 64, 3, true}, {5 * 64, 0, true}};
+    EXPECT_EQ(a, want);
     std::remove(path.c_str());
 }
 
@@ -842,7 +855,8 @@ TEST(SweepTrace, SavedSampledTraceReloadsToTheSameStudy)
     saveSampledTrace(path, trace);
 
     SampledTrace back = trace;
-    back.records = loadSampledRecords(path, trace.sampledProc);
+    back.records =
+        loadSampledRecords(path, trace.sampledProc, trace.blockBytes);
     std::remove(path.c_str());
     ASSERT_EQ(back.records.size(), trace.records.size());
     std::uint64_t remote = 0;
@@ -875,6 +889,67 @@ TEST(SweepTrace, SavedSampledTraceReloadsToTheSameStudy)
         EXPECT_EQ(a.aggregateCost, b.aggregateCost);
         EXPECT_EQ(a.policyStats.all(), b.policyStats.all());
     }
+}
+
+TEST(SweepTrace, TraceCellMatchesTraceStudy)
+{
+    // A traces= cell over a saved trace runs the study the file holds:
+    // the same records, DELs as invalidations, in the same sets.
+    auto wl = makeWorkload(BenchmarkId::Lu, WorkloadScale::Test);
+    const SampledTrace trace = buildSampledTrace(*wl, 1);
+    const std::string path = tempPath("cell");
+    saveSampledTrace(path, trace);
+
+    SweepGrid grid;
+    grid.scale = WorkloadScale::Test;
+    grid.traceFiles = {path};
+    grid.policies = paperPolicies();
+    grid.ratios = {CostRatio::finite(8)};
+    grid.hafs = {0.2};
+    const SweepResult sweep = SweepRunner(2).run(grid);
+    std::remove(path.c_str());
+    ASSERT_TRUE(sweep.complete());
+    ASSERT_EQ(sweep.cells.size(), paperPolicies().size());
+
+    const TraceStudy study(trace);
+    for (const SweepCellResult &res : sweep.cells) {
+        const RandomTwoCost model(res.cell.ratio, res.cell.haf,
+                                  res.cell.mappingHash());
+        PolicyParams params;
+        params.etdAliasBits = res.cell.etdAliasBits;
+        params.depreciationFactor = res.cell.depreciationFactor;
+        params.seed = res.cell.hash();
+        const TraceSimResult direct =
+            study.run(res.cell.policy, model, params);
+        const double lru_cost = study.lruCost(model);
+        EXPECT_EQ(res.l2Misses, direct.l2Misses) << res.cell.label();
+        EXPECT_EQ(res.aggregateCost, direct.aggregateCost)
+            << res.cell.label();
+        EXPECT_EQ(res.lruCost, lru_cost) << res.cell.label();
+        EXPECT_EQ(res.savingsPct,
+                  relativeCostSavings(lru_cost, direct.aggregateCost))
+            << res.cell.label();
+    }
+}
+
+TEST(SweepTrace, FirstTouchOnATraceCellIsAConfigError)
+{
+    // A file carries no page placement to derive first-touch homes
+    // from; the error points at the mapping that works.
+    const SweepGrid grid =
+        parseGridSpec("traces=x.csrt;mappings=random,first-touch");
+    try {
+        grid.expand();
+        FAIL() << "first-touch accepted on a trace cell";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("mappings=random"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(parseGridSpec("traces=x.csrt;mappings=random")
+                  .expand()
+                  .size(),
+              paperPolicies().size());
 }
 
 // ---------------------------------------------------------------------------

@@ -508,7 +508,7 @@ TEST(TraceRobust, BadMagicAndBitsCarryOffsets)
     TempPath path("bad.csrt");
     spit(path.str(), std::string(100, 'X'));
     try {
-        replay::loadSampledRecords(path.str(), 1);
+        replay::loadSampledRecords(path.str(), 1, 64);
         FAIL() << "no throw";
     } catch (const TraceFormatError &e) {
         EXPECT_EQ(e.byteOffset(), 0u);
@@ -528,7 +528,7 @@ TEST(TraceRobust, BadMagicAndBitsCarryOffsets)
     bad[op] = '\x07'; // no such TraceOp
     spit(path.str(), bad);
     try {
-        replay::loadSampledRecords(path.str(), 1);
+        replay::loadSampledRecords(path.str(), 1, 64);
         FAIL() << "no throw";
     } catch (const TraceFormatError &e) {
         EXPECT_EQ(e.byteOffset(), op);
@@ -540,10 +540,10 @@ TEST(TraceRobust, EveryTruncationThrowsTraceFormatError)
     const std::string full = savedBytes(tinySampledTrace(), "full.csrt");
     TempPath path("cut.csrt");
     spit(path.str(), full);
-    EXPECT_EQ(replay::loadSampledRecords(path.str(), 1).size(), 3u);
+    EXPECT_EQ(replay::loadSampledRecords(path.str(), 1, 64).size(), 3u);
     for (std::size_t len = 0; len < full.size(); ++len) {
         spit(path.str(), full.substr(0, len));
-        EXPECT_THROW(replay::loadSampledRecords(path.str(), 1),
+        EXPECT_THROW(replay::loadSampledRecords(path.str(), 1, 64),
                      TraceFormatError)
             << "prefix length " << len;
     }
@@ -585,15 +585,16 @@ TEST(TraceRobust, HugeDeclaredCountDoesNotPreallocate)
                          TraceFormatError)
                 << bytes->size() << "-byte file, "
                 << replay::readModeName(mode);
-        EXPECT_THROW(replay::loadSampledRecords(path.str(), 1),
+        EXPECT_THROW(replay::loadSampledRecords(path.str(), 1, 64),
                      TraceFormatError);
     }
 }
 
 TEST(TraceRobust, MissingFilesAreConfigErrors)
 {
-    EXPECT_THROW(replay::loadSampledRecords("/nonexistent/trace.csrt", 1),
-                 ConfigError);
+    EXPECT_THROW(
+        replay::loadSampledRecords("/nonexistent/trace.csrt", 1, 64),
+        ConfigError);
     EXPECT_THROW(replay::saveSampledTrace("/nonexistent-dir/trace.csrt",
                                           SampledTrace{}),
                  ConfigError);
@@ -749,7 +750,7 @@ TEST(FaultInjector, EveryProbeSiteFires)
     injector.configure(1.0, 7);
 
     // Outside a scope no site fires, even at rate 1.
-    EXPECT_EQ(replay::loadSampledRecords(trace.str(), 1).size(), 3u);
+    EXPECT_EQ(replay::loadSampledRecords(trace.str(), 1, 64).size(), 3u);
     EXPECT_GT(NumaSystem(numa, *wl).run().totalOps, 0u);
     writer.appendLine("{\"b\":2}");
     EXPECT_EQ(injector.injectedCount(), 0u);
@@ -758,7 +759,7 @@ TEST(FaultInjector, EveryProbeSiteFires)
     {
         FaultInjector::Scope scope(1);
         load = injectedFault(
-            [&] { replay::loadSampledRecords(trace.str(), 1); });
+            [&] { replay::loadSampledRecords(trace.str(), 1, 64); });
         sim = injectedFault([&] { NumaSystem(numa, *wl).run(); });
         append = injectedFault([&] { writer.appendLine("{\"c\":3}"); });
     }

@@ -393,7 +393,15 @@ TEST(CacheService, RejectsBadConfig)
     config.shards = 3; // not a power of two
     EXPECT_THROW(CacheService(config, backend), ConfigError);
     config = smallServeConfig(PolicyKind::Opt);
-    EXPECT_THROW(CacheService(config, backend), ConfigError);
+    try {
+        CacheService service(config, backend);
+        ADD_FAILURE() << "an offline policy drove the service";
+    } catch (const ConfigError &e) {
+        // csrserve --help prints the same list.
+        EXPECT_NE(std::string(e.what()).find(onlinePolicyNamesJoined(" ")),
+                  std::string::npos)
+            << e.what();
+    }
     config = smallServeConfig(PolicyKind::Lru);
     config.ewmaAlpha = 0.0;
     EXPECT_THROW(CacheService(config, backend), ConfigError);

@@ -164,7 +164,7 @@ usage()
 {
     std::cerr
         << "usage: csrserve [--key value ...]\n"
-           "  service:  --policy " << policyNamesJoined() << "\n"
+           "  service:  --policy " << onlinePolicyNamesJoined() << "\n"
         << "            --shards N (pow2) --shard-bytes N --assoc N\n"
            "            --block-bytes N --ewma-alpha F\n"
            "            --stripes auto|N (pow2 locked sub-shards; 1 =\n"
@@ -328,7 +328,8 @@ runServer(const CliArgs &args)
     const net::NetStats net_stats = server.stats();
     result.totals.shedOps = net_stats.shedOps;
     result.opLatencyNs = net_stats.wireLatencyNs;
-    result.ops = result.totals.gets + result.totals.stores;
+    result.ops =
+        result.totals.gets + result.totals.stores + net_stats.cmdDel;
     result.workers = net_config.workers;
     report(args, result, service.policyName(), "wire",
            "serve(net): " + service.policyName() + " / " +

@@ -12,10 +12,10 @@
  *                [--save-trace FILE | --load-trace FILE]
  *       Replays a sampled-processor trace (Section 3 study) and
  *       prints hits/misses, aggregate cost and savings over LRU.
- *       --save-trace writes the generated trace as .csrt (key = byte
- *       address; the sampled processor's loads/stores are GET/SET,
- *       other processors' writes DEL); --load-trace replays such a
- *       file in place of the generated records, keeping the
+ *       --save-trace writes the generated trace as .csrt (key =
+ *       block number; the sampled processor's loads/stores are
+ *       GET/SET, other processors' writes DEL); --load-trace replays
+ *       such a file in place of the generated records, keeping the
  *       first-touch homes of the generated workload.
  *
  *   csrsim numa  --benchmark raytrace --policy dcl \
@@ -194,7 +194,8 @@ runTrace(const CliArgs &args)
 
     if (args.has("load-trace")) {
         trace.records = replay::loadSampledRecords(
-            args.get("load-trace", ""), trace.sampledProc);
+            args.get("load-trace", ""), trace.sampledProc,
+            trace.blockBytes);
         inform("loaded %zu records (first-touch homes taken from the "
                "generated workload)", trace.records.size());
     }
@@ -480,7 +481,8 @@ usage()
            "            ablation-etd smoke\n"
            "          keys: benchmarks policies mappings ratios hafs\n"
            "            l2 assocs alias-bits depreciations scale\n"
-           "            traces (.csrt files; replaces benchmarks)\n"
+           "            traces (.csrt files; replaces benchmarks;\n"
+           "              random mapping only)\n"
            "  exit codes: 0 ok, 2 config, 3 trace format, 4 checkpoint,\n"
            "    5 stall, 6 geometry, 7 invariant, 8 injected fault,\n"
            "    10 sweep finished with failed cells\n";
