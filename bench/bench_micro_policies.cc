@@ -9,11 +9,16 @@
  * Besides the normal console output, the run is summarized into a
  * small JSON file (BENCH_micro.json by default, or --json <path>)
  * with per-policy ns/access and accesses/sec plus the total wall
- * clock, so CI can archive machine-readable numbers.
+ * clock, so CI can archive machine-readable numbers.  With
+ * --benchmark_repetitions=N each row is the benchmark's median
+ * aggregate, under its plain name, so the file keeps one row per
+ * policy in registration order (its "iterations" then counts the
+ * repetitions).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -75,12 +80,14 @@ BENCHMARK(BM_Bcl);
 BENCHMARK(BM_Dcl);
 BENCHMARK(BM_Acl);
 
-/** Console reporter that also records one JSON row per benchmark. */
+/** Console reporter that also records one JSON row per benchmark:
+ *  its single run, or its median aggregate over repetitions. */
 class JsonCaptureReporter : public benchmark::ConsoleReporter
 {
   public:
     struct Row
     {
+        std::int64_t family = 0;
         std::string name;
         std::int64_t iterations = 0;
         double nsPerAccess = 0.0;
@@ -93,8 +100,18 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter
     ReportRuns(const std::vector<Run> &reports) override
     {
         for (const auto &run : reports) {
+            const bool row_of_run =
+                run.run_type == Run::RT_Aggregate
+                    ? run.aggregate_name == "median"
+                    : run.repetitions <= 1;
+            if (!row_of_run)
+                continue;
+            // A median's accumulated time is rescaled to its
+            // "iterations" (the repetition count), so the ratio below
+            // is the median time per access either way.
             Row row;
-            row.name = run.benchmark_name();
+            row.family = run.family_index;
+            row.name = run.run_name.str();
             row.iterations = run.iterations;
             if (run.iterations > 0 && run.real_accumulated_time > 0.0) {
                 row.nsPerAccess = 1e9 * run.real_accumulated_time /
@@ -104,6 +121,11 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter
             }
             rows.push_back(std::move(row));
         }
+        // Interleaved repetitions finish in random order.
+        std::stable_sort(rows.begin(), rows.end(),
+                         [](const Row &a, const Row &b) {
+                             return a.family < b.family;
+                         });
         ConsoleReporter::ReportRuns(reports);
     }
 };

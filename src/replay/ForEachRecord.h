@@ -16,7 +16,6 @@
 #ifndef CSR_REPLAY_FOREACHRECORD_H
 #define CSR_REPLAY_FOREACHRECORD_H
 
-#include <algorithm>
 #include <cstdint>
 
 #include "replay/Format.h"
@@ -24,15 +23,6 @@
 
 namespace csr::replay
 {
-
-/** How many records a pass capped at @p limit reads: every record
- *  when @p limit is 0. */
-inline std::uint64_t
-recordsWithin(const TraceReader &reader, std::uint64_t limit)
-{
-    return limit ? std::min(limit, reader.recordCount())
-                 : reader.recordCount();
-}
 
 /** Call fn(key, op) for the first @p count records of @p reader, in
  *  file order.  @throws TraceFormatError from readBlock. */

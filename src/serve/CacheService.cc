@@ -197,8 +197,7 @@ CacheService::CacheService(const ServeConfig &config, Backend &backend)
         config_.blockBytes);
     const auto stripe_bits = static_cast<std::uint32_t>(
         floorLog2(config_.stripes));
-    shardShift_ =
-        64u - static_cast<unsigned>(floorLog2(config_.shards));
+    shardMap_ = ShardMap(config_.shards);
     stripeMask_ = config_.stripes - 1;
 
     shards_.reserve(config_.shards);
@@ -226,14 +225,6 @@ CacheService::CacheService(const ServeConfig &config, Backend &backend)
 }
 
 CacheService::~CacheService() = default;
-
-unsigned
-CacheService::shardOf(Addr key) const
-{
-    if (config_.shards == 1)
-        return 0;
-    return static_cast<unsigned>(hashMix64(key) >> shardShift_);
-}
 
 void
 CacheService::setRecorder(OpRecorder recorder)

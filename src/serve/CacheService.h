@@ -61,6 +61,8 @@
 #include "cache/PolicyFactory.h"
 #include "serve/Backend.h"
 #include "serve/CircuitBreaker.h"
+#include "util/MathUtil.h"
+#include "util/Random.h"
 
 namespace csr
 {
@@ -84,6 +86,29 @@ unsigned requireStripes(const std::string &text);
 
 /** ServeConfig::stripes value meaning "size to the machine". */
 inline constexpr unsigned kStripesAuto = 0;
+
+/** The shard function: which of @p shards (a power of two) owns a
+ *  key.  CacheService routes by it; the load harness partitions by it,
+ *  in-process and over the wire. */
+class ShardMap
+{
+  public:
+    explicit ShardMap(unsigned shards = 1)
+        : shift_(64u - static_cast<unsigned>(floorLog2(shards)))
+    {
+    }
+
+    unsigned
+    operator()(Addr key) const
+    {
+        return shift_ == 64u
+                   ? 0u
+                   : static_cast<unsigned>(hashMix64(key) >> shift_);
+    }
+
+  private:
+    unsigned shift_; ///< hash bits above this select the shard
+};
 
 /**
  * Construction parameters of a CacheService.
@@ -331,9 +356,8 @@ class CacheService
      *  its set's ghost ring.  @return true when the key was resident. */
     bool del(Addr key);
 
-    /** Shard that owns @p key (stable; the harness partitions ops by
-     *  this to keep runs deterministic for any worker count). */
-    unsigned shardOf(Addr key) const;
+    /** Shard that owns @p key (ShardMap over numShards()). */
+    unsigned shardOf(Addr key) const { return shardMap_(key); }
 
     /**
      * Live-capture hook: called at the top of every get()/getAsync()
@@ -444,7 +468,7 @@ class CacheService
     Backend &backend_;
     OpRecorder recorder_; ///< optional live-capture hook (see above)
     std::uint64_t inflightWaitNs_; ///< resolved from inflightWaitMs
-    unsigned shardShift_;  ///< hash bits above this select the shard
+    ShardMap shardMap_;
     unsigned stripeMask_;  ///< stripes - 1; low key bits pick the stripe
     std::vector<std::unique_ptr<Shard>> shards_;
 };

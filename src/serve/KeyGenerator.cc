@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "robust/Errors.h"
+#include "util/CliArgs.h"
 
 namespace csr::serve
 {
@@ -140,6 +141,19 @@ WorkloadMix::describe() const
                std::to_string(hotProbability);
     out += ",writes=" + std::to_string(writeFraction) + ")";
     return out;
+}
+
+WorkloadMix
+WorkloadMix::fromArgs(const CliArgs &args)
+{
+    WorkloadMix mix;
+    mix.dist = parseKeyDist(args.get("workload", "zipf"));
+    mix.numKeys = args.getUInt("keys", mix.numKeys);
+    mix.zipfTheta = args.getDouble("zipf-theta", mix.zipfTheta);
+    mix.hotFraction = args.getDouble("hot-frac", mix.hotFraction);
+    mix.hotProbability = args.getDouble("hot-prob", mix.hotProbability);
+    mix.writeFraction = args.getDouble("write-frac", mix.writeFraction);
+    return mix;
 }
 
 KeyGenerator::KeyGenerator(const WorkloadMix &mix, std::uint64_t seed)

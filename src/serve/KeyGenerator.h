@@ -27,6 +27,11 @@
 #include "util/Random.h"
 #include "util/Types.h"
 
+namespace csr
+{
+class CliArgs;
+}
+
 namespace csr::serve
 {
 
@@ -59,6 +64,10 @@ struct WorkloadMix
 
     /** Short "zipf(n=...,theta=...)" style label. */
     std::string describe() const;
+
+    /** Read --workload --keys --zipf-theta --hot-frac --hot-prob
+     *  --write-frac (absent: the default).  @throws ConfigError. */
+    static WorkloadMix fromArgs(const CliArgs &args);
 };
 
 /** One request. */

@@ -1,5 +1,6 @@
 #include "serve/LoadHarness.h"
 
+#include <algorithm>
 #include <chrono>
 #include <ostream>
 #include <thread>
@@ -15,18 +16,6 @@
 
 namespace csr::serve
 {
-
-namespace
-{
-
-/** Per-worker accumulators, merged after the pool drains. */
-struct WorkerOutput
-{
-    Histogram opLatencyNs;
-    Histogram missLatencyNs;
-};
-
-} // namespace
 
 std::uint64_t
 harnessPayload(std::uint64_t seed, Addr key)
@@ -57,16 +46,7 @@ HarnessConfig::fromArgs(const CliArgs &args)
         throw ConfigError("unknown affinity '" + affinity +
                           "' (valid: shard free)");
 
-    config.mix.dist = parseKeyDist(args.get("workload", "zipf"));
-    config.mix.numKeys = args.getUInt("keys", config.mix.numKeys);
-    config.mix.zipfTheta =
-        args.getDouble("zipf-theta", config.mix.zipfTheta);
-    config.mix.hotFraction =
-        args.getDouble("hot-frac", config.mix.hotFraction);
-    config.mix.hotProbability =
-        args.getDouble("hot-prob", config.mix.hotProbability);
-    config.mix.writeFraction =
-        args.getDouble("write-frac", config.mix.writeFraction);
+    config.mix = WorkloadMix::fromArgs(args);
     config.validate();
     return config;
 }
@@ -186,6 +166,81 @@ HarnessResult::exportMetrics(MetricRegistry &registry) const
     registry.mergeHistogram("serve.miss_latency_ns", missLatencyNs);
 }
 
+std::vector<std::vector<Op>>
+planOps(const HarnessConfig &config, unsigned shards, unsigned parts)
+{
+    // Shard affinity keeps per-shard op order for any part count; the
+    // strided split makes the parts contend on the shard locks.
+    const ShardMap shard_of(shards);
+    std::vector<std::vector<Op>> plan(parts);
+    std::uint64_t i = 0;
+    const auto place = [&](const Op &op) {
+        const std::size_t part =
+            config.shardAffinity
+                ? shard_of(op.key) % parts
+                : static_cast<std::size_t>(i++) % parts;
+        plan[part].push_back(op);
+    };
+    const auto reserve = [&](std::uint64_t ops) {
+        for (auto &run : plan)
+            run.reserve(static_cast<std::size_t>(ops / parts + 1));
+    };
+    if (config.replayPath.empty()) {
+        CSR_TRACE_SPAN("serve", "harness.generate");
+        reserve(config.ops);
+        KeyGenerator gen(config.mix, config.seed);
+        for (std::uint64_t n = 0; n < config.ops; ++n)
+            place(gen.next());
+    } else {
+        CSR_TRACE_SPAN("serve", "harness.load_trace");
+        replay::TraceReader reader(config.replayPath);
+        // --ops 0 (the --replay default) reads the whole trace.
+        const std::uint64_t ops =
+            config.ops ? std::min(config.ops, reader.recordCount())
+                       : reader.recordCount();
+        reserve(ops);
+        replay::forEachRecord(
+            reader, ops, [&](Addr key, replay::TraceOp op) {
+                place(Op{key, op == replay::TraceOp::Set,
+                         op == replay::TraceOp::Del});
+            });
+    }
+    return plan;
+}
+
+HarnessResult
+driveLoad(const HarnessConfig &config, unsigned shards, unsigned parts,
+          const PartRunner &drive)
+{
+    const std::vector<std::vector<Op>> plan =
+        planOps(config, shards, parts);
+    std::vector<PartLatency> latency(parts);
+    const auto run_part = [&](std::size_t p) {
+        drive(p, plan[p], latency[p]);
+    };
+
+    WallTimer wall;
+    if (parts == 1) {
+        run_part(0);
+    } else {
+        ThreadPool pool(parts);
+        parallelFor(pool, parts, run_part);
+    }
+
+    HarnessResult result;
+    result.wallSec = wall.elapsedSec();
+    result.workers = parts;
+    for (std::size_t p = 0; p < parts; ++p) {
+        result.ops += plan[p].size();
+        result.opLatencyNs.merge(latency[p].opLatencyNs);
+        result.missLatencyNs.merge(latency[p].missLatencyNs);
+    }
+    result.qps = result.wallSec > 0.0
+                     ? static_cast<double>(result.ops) / result.wallSec
+                     : 0.0;
+    return result;
+}
+
 HarnessResult
 runLoad(CacheService &service, const HarnessConfig &config)
 {
@@ -193,45 +248,6 @@ runLoad(CacheService &service, const HarnessConfig &config)
 
     const unsigned workers =
         config.workers ? config.workers : ThreadPool::defaultThreads();
-
-    // Generate (or decode) the whole op stream up front, then
-    // partition it.  With shard affinity every op lands with the
-    // worker that owns its shard, so per-shard op order is the global
-    // stream order for any worker count; the strided split instead
-    // makes workers contend on the shard locks.
-    std::uint64_t total_ops = config.ops;
-    std::vector<std::vector<Op>> plan(workers);
-    const auto place = [&](std::uint64_t i, const Op &op) {
-        const std::size_t w =
-            config.shardAffinity
-                ? service.shardOf(op.key) % workers
-                : static_cast<std::size_t>(i) % workers;
-        plan[w].push_back(op);
-    };
-    if (config.replayPath.empty()) {
-        CSR_TRACE_SPAN("serve", "harness.generate");
-        for (auto &ops : plan)
-            ops.reserve(
-                static_cast<std::size_t>(total_ops / workers + 1));
-        KeyGenerator gen(config.mix, config.seed);
-        for (std::uint64_t i = 0; i < total_ops; ++i)
-            place(i, gen.next());
-    } else {
-        CSR_TRACE_SPAN("serve", "harness.load_trace");
-        replay::TraceReader reader(config.replayPath);
-        total_ops = replay::recordsWithin(reader, config.ops);
-        for (auto &ops : plan)
-            ops.reserve(
-                static_cast<std::size_t>(total_ops / workers + 1));
-        std::uint64_t i = 0;
-        replay::forEachRecord(
-            reader, total_ops, [&](Addr key, replay::TraceOp op) {
-                place(i++, Op{key, op == replay::TraceOp::Set,
-                              op == replay::TraceOp::Del});
-            });
-    }
-
-    std::vector<WorkerOutput> outputs(workers);
 
     // Closed-loop pacing: each worker owns a 1/workers slice of the
     // aggregate target rate and spaces its ops on a fixed schedule
@@ -241,12 +257,12 @@ runLoad(CacheService &service, const HarnessConfig &config)
             ? static_cast<double>(workers) / config.targetQps
             : 0.0;
 
-    const auto worker_fn = [&](std::size_t w) {
+    const auto worker_fn = [&](std::size_t w, const std::vector<Op> &run,
+                               PartLatency &out) {
         CSR_TRACE_SPAN_DYN("serve", "worker " + std::to_string(w));
-        WorkerOutput &out = outputs[w];
         const auto start = std::chrono::steady_clock::now();
         std::uint64_t n = 0;
-        for (const Op &op : plan[w]) {
+        for (const Op &op : run) {
             if (interval_sec > 0.0) {
                 const auto deadline =
                     start + std::chrono::duration_cast<
@@ -283,25 +299,8 @@ runLoad(CacheService &service, const HarnessConfig &config)
         }
     };
 
-    WallTimer wall;
-    if (workers == 1) {
-        worker_fn(0);
-    } else {
-        ThreadPool pool(workers);
-        parallelFor(pool, workers, worker_fn);
-    }
-
-    HarnessResult result;
-    result.wallSec = wall.elapsedSec();
-    result.ops = total_ops;
-    result.workers = workers;
-    result.qps = result.wallSec > 0.0
-                     ? static_cast<double>(total_ops) / result.wallSec
-                     : 0.0;
-    for (const WorkerOutput &out : outputs) {
-        result.opLatencyNs.merge(out.opLatencyNs);
-        result.missLatencyNs.merge(out.missLatencyNs);
-    }
+    HarnessResult result =
+        driveLoad(config, service.numShards(), workers, worker_fn);
     result.totals = service.totals();
     return result;
 }

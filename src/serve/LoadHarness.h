@@ -5,10 +5,11 @@
  * Replays a deterministic op stream -- synthetic (KeyGenerator) or a
  * recorded .csrt trace (HarnessConfig::replayPath) -- against a
  * service from N worker threads and reports throughput, hit ratio and
- * end-to-end latency percentiles.  Reproducibility contract, same as
- * the sweep engine's: with shard affinity on (the default), the
- * deterministic outputs -- hit counts, miss counts, aggregate miss
- * cost -- are bit-identical for ANY worker count, because
+ * end-to-end latency percentiles; net/ClientLoad.h sends the same
+ * plan over RESP.  Reproducibility contract, same as the sweep
+ * engine's: with shard affinity on (the default), the deterministic
+ * outputs -- hit counts, miss counts, aggregate miss cost -- are
+ * bit-identical for ANY worker count, because
  *
  *   1. the op stream is a pure function of (mix, seed), or of the
  *      trace file's bytes when replaying,
@@ -29,8 +30,10 @@
 #define CSR_SERVE_LOADHARNESS_H
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "serve/CacheService.h"
 #include "serve/KeyGenerator.h"
@@ -39,7 +42,6 @@
 
 namespace csr
 {
-class CliArgs;
 class MetricRegistry;
 }
 
@@ -121,6 +123,29 @@ struct HarnessResult
      *  latency histograms). */
     void exportMetrics(MetricRegistry &registry) const;
 };
+
+/** @p config's stream, generated or decoded, split into @p parts
+ *  runs in stream order: by ShardMap(@p shards)(key) % @p parts under
+ *  shard affinity, else op i to run i % @p parts. */
+std::vector<std::vector<Op>> planOps(const HarnessConfig &config,
+                                     unsigned shards, unsigned parts);
+
+/** The latency samples one part records. */
+struct PartLatency
+{
+    Histogram opLatencyNs;
+    Histogram missLatencyNs;
+};
+
+/** Replays one part: (index, its ops, its samples). */
+using PartRunner = std::function<void(
+    std::size_t part, const std::vector<Op> &run, PartLatency &latency)>;
+
+/** One load loop for both transports: hand each planOps run to
+ *  @p drive on a ThreadPool (the first failure is rethrown) and fill
+ *  everything in the result but totals. */
+HarnessResult driveLoad(const HarnessConfig &config, unsigned shards,
+                        unsigned parts, const PartRunner &drive);
 
 /**
  * Run @p config's op stream against @p service.  The service's

@@ -1,20 +1,15 @@
 #include "serve/net/ClientLoad.h"
 
-#include <atomic>
 #include <chrono>
 #include <deque>
-#include <thread>
 #include <vector>
 
-#include "replay/ForEachRecord.h"
 #include "robust/Errors.h"
 #include "serve/net/NetCommon.h"
 #include "serve/net/RespClient.h"
 #include "serve/net/Server.h"
 #include "telemetry/Telemetry.h"
 #include "util/CliArgs.h"
-#include "util/MathUtil.h"
-#include "util/Random.h"
 
 namespace csr::serve::net
 {
@@ -22,7 +17,7 @@ namespace csr::serve::net
 namespace
 {
 
-/** Per-connection accumulators, merged after the threads join. */
+/** Per-connection counters, merged after the run. */
 struct ConnOutput
 {
     std::uint64_t gets = 0;
@@ -31,24 +26,28 @@ struct ConnOutput
     std::uint64_t errors = 0;
     std::uint64_t busy = 0;
     std::uint64_t mismatches = 0;
-    Histogram opLatencyNs;
 };
 
-} // namespace
-
-unsigned
-wireShardOf(Addr key, unsigned shards)
+/** The server's INFO, over a connection of its own. */
+InfoTotals
+fetchInfo(const ClientConfig &config)
 {
-    if (shards == 1)
-        return 0;
-    const unsigned shift =
-        64u - static_cast<unsigned>(floorLog2(shards));
-    return static_cast<unsigned>(hashMix64(key) >> shift);
+    RespClient client(config.host, config.port, config.timeoutSec);
+    const RespClient::Reply info = client.roundTrip({"INFO"});
+    if (info.type != '$' || info.isNull)
+        throw NetError("INFO did not return a bulk reply");
+    return parseInfoTotals(info.text);
 }
+
+} // namespace
 
 ClientConfig
 ClientConfig::fromArgs(const CliArgs &args)
 {
+    if (args.has("shards"))
+        throw ConfigError("--shards is a server flag: a --connect "
+                          "client takes the shard count from the "
+                          "server's INFO");
     ClientConfig config;
     const auto [host, port] = parseHostPort(args.get("connect", ""));
     config.host = host;
@@ -58,8 +57,6 @@ ClientConfig::fromArgs(const CliArgs &args)
     config.pipeline = args.getUInt("pipeline", config.pipeline);
     config.timeoutSec =
         args.getDouble("net-timeout", config.timeoutSec);
-    config.serverShards = static_cast<unsigned>(
-        args.getUInt("shards", config.serverShards));
     config.harness = HarnessConfig::fromArgs(args);
     config.validate();
     return config;
@@ -85,10 +82,6 @@ ClientConfig::validate() const
             "--net-timeout must be 0 (unbounded) or >= 0.001 s; " +
             std::to_string(timeoutSec) +
             " would silently become unbounded");
-    if (serverShards == 0 ||
-        (serverShards & (serverShards - 1)) != 0)
-        throw ConfigError("--shards must be a power of two (it is "
-                          "the wire partition key)");
     harness.validate();
 }
 
@@ -97,40 +90,9 @@ runClientLoad(const ClientConfig &config)
 {
     config.validate();
 
-    // Same stream, same order as runLoad() -- then partitioned by
-    // owning server shard so each shard's subsequence arrives in
-    // global stream order over exactly one connection.
-    std::uint64_t total_ops = config.harness.ops;
-    std::vector<std::vector<Op>> plan(config.connections);
-    const auto place = [&](const Op &op) {
-        plan[wireShardOf(op.key, config.serverShards) %
-             config.connections]
-            .push_back(op);
-    };
-    if (config.harness.replayPath.empty()) {
-        CSR_TRACE_SPAN("net", "client.generate");
-        KeyGenerator gen(config.harness.mix, config.harness.seed);
-        for (std::uint64_t i = 0; i < total_ops; ++i)
-            place(gen.next());
-    } else {
-        CSR_TRACE_SPAN("net", "client.load_trace");
-        replay::TraceReader reader(config.harness.replayPath);
-        total_ops = replay::recordsWithin(reader, config.harness.ops);
-        replay::forEachRecord(
-            reader, total_ops, [&](Addr key, replay::TraceOp op) {
-                place(Op{key, op == replay::TraceOp::Set,
-                         op == replay::TraceOp::Del});
-            });
-    }
-
     std::vector<ConnOutput> outputs(config.connections);
-
-    // Worker threads may throw (refused connect, timeout); the first
-    // exception wins and is rethrown on the caller's thread.
-    std::exception_ptr failure;
-    std::atomic<bool> failed{false};
-
-    const auto conn_fn = [&](std::size_t c) {
+    const auto conn_fn = [&](std::size_t c, const std::vector<Op> &run,
+                             PartLatency &latency) {
         CSR_TRACE_SPAN_DYN("net", "client conn " + std::to_string(c));
         using Clock = std::chrono::steady_clock;
         ConnOutput &out = outputs[c];
@@ -142,7 +104,7 @@ runClientLoad(const ClientConfig &config)
             const RespClient::Reply reply = client.readReply();
             const auto [verb, sent_at] = window.front();
             window.pop_front();
-            out.opLatencyNs.add(
+            latency.opLatencyNs.add(
                 std::chrono::duration<double, std::nano>(
                     Clock::now() - sent_at)
                     .count());
@@ -167,7 +129,7 @@ runClientLoad(const ClientConfig &config)
                 ++out.mismatches;
         };
 
-        for (const Op &op : plan[c]) {
+        for (const Op &op : run) {
             char verb = 'G';
             if (op.del) {
                 client.send({"DEL", std::to_string(op.key)});
@@ -193,35 +155,13 @@ runClientLoad(const ClientConfig &config)
             drainOne();
     };
 
-    WallTimer wall;
-    std::vector<std::thread> threads;
-    threads.reserve(config.connections);
-    for (unsigned c = 0; c < config.connections; ++c) {
-        threads.emplace_back([&, c] {
-            try {
-                conn_fn(c);
-            } catch (...) {
-                if (!failed.exchange(true))
-                    failure = std::current_exception();
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-    if (failed.load())
-        std::rethrow_exception(failure);
-
+    // The partition key is the server's own shard count, so each
+    // shard's subsequence arrives in global stream order over exactly
+    // one connection.
     ClientResult result;
-    result.harness.wallSec = wall.elapsedSec();
-    result.harness.ops = total_ops;
-    result.harness.workers = config.connections;
-    result.harness.qps =
-        result.harness.wallSec > 0.0
-            ? static_cast<double>(total_ops) /
-                  result.harness.wallSec
-            : 0.0;
+    result.harness = driveLoad(config.harness, fetchInfo(config).shards,
+                               config.connections, conn_fn);
     for (const ConnOutput &out : outputs) {
-        result.harness.opLatencyNs.merge(out.opLatencyNs);
         result.sentGets += out.gets;
         result.sentSets += out.sets;
         result.sentDels += out.dels;
@@ -232,12 +172,9 @@ runClientLoad(const ClientConfig &config)
 
     // The deterministic half of the report is the server's: INFO over
     // one more connection, parsed back into ServeTotals.
-    RespClient info_client(config.host, config.port,
-                           config.timeoutSec);
-    const RespClient::Reply info = info_client.roundTrip({"INFO"});
-    if (info.type != '$' || info.isNull)
-        throw NetError("INFO did not return a bulk reply");
-    result.harness.totals = parseInfoTotals(info.text);
+    const InfoTotals info = fetchInfo(config);
+    result.harness.totals = info.serve;
+    result.serverDels = info.cmdDel;
     return result;
 }
 

@@ -8,15 +8,15 @@
  * discipline across the wire.  The op stream is a pure function of
  * (mix, seed) -- or of a recorded .csrt trace's bytes with --replay
  * (HarnessConfig::replayPath; Get/Set/Del records become
- * GET/SET/DEL commands); ops are partitioned over C connections by
- * OWNING SERVER SHARD (shard % C), each connection pipelines its
- * share in global stream order, and a connection's requests are
- * executed by the server in arrival order -- so every server shard
- * sees the same op subsequence in the same order as an in-process
- * run with the same flags, and the server's deterministic
- * ServeTotals (fetched via INFO at the end) are the ones `csrserve`
- * would print locally.  That requires the client's --shards and
- * --seed to match the server's, which the driver forwards.
+ * GET/SET/DEL commands); driveLoad partitions it over C connections
+ * by OWNING SERVER SHARD, each connection pipelines its share in
+ * global stream order, and a connection's requests are executed by
+ * the server in arrival order -- so every server shard sees the same
+ * op subsequence in the same order as an in-process run with the
+ * same flags, and the server's deterministic ServeTotals (fetched
+ * via INFO at the end) are the ones `csrserve` would print locally.
+ * The shard count comes from an INFO before the run; the client's
+ * --seed must match the server's.
  */
 
 #ifndef CSR_SERVE_NET_CLIENTLOAD_H
@@ -41,16 +41,14 @@ struct ClientConfig
     std::size_t pipeline = 64;
     /** Socket timeout per read/connect; 0 = unbounded. */
     double timeoutSec = 30.0;
-    /** The server's shard count -- the partition key (must match the
-     *  server for the determinism contract to hold). */
-    unsigned serverShards = 8;
-    /** Op stream (ops, seed, mix); workers/qps/affinity unused. */
+    /** Op stream (ops, seed, mix, affinity); workers/qps unused. */
     HarnessConfig harness;
 
     /**
      * Read --connect HOST:PORT --connections C --pipeline W plus the
-     * shared workload flags (via HarnessConfig::fromArgs) and
-     * --shards out of @p args.  validate()d.  @throws ConfigError.
+     * shared workload flags (via HarnessConfig::fromArgs) out of
+     * @p args.  validate()d.  @throws ConfigError, also on --shards:
+     * the client takes the shard count from the server.
      */
     static ClientConfig fromArgs(const CliArgs &args);
 
@@ -75,21 +73,20 @@ struct ClientResult
     std::uint64_t busyReplies = 0;
     /** Replies whose type did not match the verb (0 expected). */
     std::uint64_t typeMismatches = 0;
+    /** DEL commands the server served (INFO's "# net" cmdDel). */
+    std::uint64_t serverDels = 0;
 
-    /** sentGets == server gets && sentSets == server stores: true
-     *  exactly when this client was the fresh server's only
-     *  traffic -- the loopback CI check. */
+    /** The server served exactly the GETs, SETs and DELs sent: true
+     *  when this client was the fresh server's only traffic -- the
+     *  loopback CI check. */
     bool
     consistentWithServer() const
     {
         return sentGets == harness.totals.gets &&
-               sentSets == harness.totals.stores;
+               sentSets == harness.totals.stores &&
+               sentDels == serverDels;
     }
 };
-
-/** The shard the server will route @p key to (replicates
- *  CacheService::shardOf for a @p shards -shard server). */
-unsigned wireShardOf(Addr key, unsigned shards);
 
 /**
  * Run @p config's op stream against the remote server.  @throws

@@ -17,6 +17,7 @@
 #include "telemetry/Telemetry.h"
 #include "util/CliArgs.h"
 #include "util/Logging.h"
+#include "util/MathUtil.h"
 #include "util/Table.h"
 
 namespace csr::serve::net
@@ -433,14 +434,13 @@ NetServer::exportMetrics(MetricRegistry &registry) const
     registry.mergeHistogram("net.wire_latency_ns", n.wireLatencyNs);
 }
 
-ServeTotals
+InfoTotals
 parseInfoTotals(const std::string &info)
 {
-    // Collect the "# serve" section's rows, then read every listed
-    // counter out of them.
+    // Collect every row under "<section>\n<key>" (a section header
+    // under its own name), then read each wanted row out of them.
     std::map<std::string, std::string, std::less<>> rows;
-    bool has_serve = false;
-    bool in_serve = false;
+    std::string section;
     std::size_t at = 0;
     while (at < info.size()) {
         std::size_t end = info.find('\n', at);
@@ -449,35 +449,43 @@ parseInfoTotals(const std::string &info)
         const std::string_view row(info.data() + at, end - at);
         at = end + 1;
         if (!row.empty() && row[0] == '#') {
-            in_serve = row == "# serve";
-            has_serve = has_serve || in_serve;
+            section = row;
+            rows.emplace(section, "");
             continue;
         }
         const std::size_t colon = row.find(':');
-        if (in_serve && colon != std::string_view::npos)
-            rows.emplace(row.substr(0, colon), row.substr(colon + 1));
+        if (!section.empty() && colon != std::string_view::npos)
+            rows.emplace(section + '\n' + std::string(row.substr(0, colon)),
+                         row.substr(colon + 1));
     }
-    if (!has_serve)
-        throw NetError("INFO reply has no \"# serve\" section");
+    const auto read = [&rows](const std::string &in, const char *key,
+                              auto &&field) {
+        if (!rows.count(in))
+            throw NetError("INFO reply has no \"" + in + "\" section");
+        const auto it = rows.find(in + '\n' + key);
+        if (it == rows.end())
+            throw NetError("INFO \"" + in + "\" has no '" + key + "' row");
+        const std::string &text = it->second;
+        const char *last = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), last, field);
+        if (ec != std::errc() || ptr != last)
+            throw NetError(std::string("INFO key '") + key +
+                           "' has malformed value '" + text + "'");
+    };
 
-    ServeTotals t;
+    InfoTotals t;
     // hitRatio's field is a temporary: it is checked like any row,
     // then dropped (it is derived from gets and hits).
     forEachServeCounter(
-        [&rows](const char *key, const char *, auto &&field) {
-            const auto it = rows.find(key);
-            if (it == rows.end())
-                throw NetError(std::string("INFO \"# serve\" has no '") +
-                               key + "' row");
-            const std::string &text = it->second;
-            const char *last = text.data() + text.size();
-            const auto [ptr, ec] =
-                std::from_chars(text.data(), last, field);
-            if (ec != std::errc() || ptr != last)
-                throw NetError(std::string("INFO key '") + key +
-                               "' has malformed value '" + text + "'");
+        [&read](const char *key, const char *, auto &&field) {
+            read("# serve", key, field);
         },
-        t);
+        t.serve);
+    read("# serve", "shards", t.shards);
+    if (!isPow2(t.shards))
+        throw NetError("INFO key 'shards' has value " +
+                       std::to_string(t.shards) + ", not a power of two");
+    read("# net", "cmdDel", t.cmdDel);
     return t;
 }
 

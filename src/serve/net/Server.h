@@ -246,15 +246,22 @@ class NetServer
     std::vector<std::unique_ptr<Worker>> workers_;
 };
 
+/** What the network client reads out of one INFO reply. */
+struct InfoTotals
+{
+    ServeTotals serve;        ///< the "# serve" counters
+    unsigned shards = 1;      ///< "# serve" shards (a power of two)
+    std::uint64_t cmdDel = 0; ///< "# net" cmdDel: DELs served
+};
+
 /**
- * Parse an INFO payload's "# serve" section back into ServeTotals
- * (the network client's side of the metrics loop: the harness prints
- * the same summary table from a wire run as from an in-process one).
- * Unknown keys are ignored.  @throws NetError naming what is wrong
- * when the section is missing, or a listed counter is missing or not
- * a well-formed number.
+ * Parse an INFO payload back into InfoTotals (the network client's
+ * side of the metrics loop: the harness prints the same summary table
+ * from a wire run as from an in-process one).  Unknown keys are
+ * ignored.  @throws NetError naming what is wrong when a section is
+ * missing, or a read row is missing or not a well-formed number.
  */
-ServeTotals parseInfoTotals(const std::string &info);
+InfoTotals parseInfoTotals(const std::string &info);
 
 } // namespace csr::serve::net
 

@@ -46,7 +46,10 @@
 #                   4 shards, seed 7) for two traces: a 200k-op Zipf
 #                   recording (`csrtrace record`, checksum verified)
 #                   and the LU sampled trace at --scale test, 71% of
-#                   whose records are DELs.
+#                   whose records are DELs.  The client takes no
+#                   --shards (it reads the server's from INFO, and
+#                   `--connect --shards 4` must exit 2), and its
+#                   --expect-fresh counts DELs too.
 #   serve_chaos     A loopback `csrserve --listen --validate` with
 #                   deterministic fault injection live (--chaos-rate
 #                   0.02: short writes, deferred accepts, backend
@@ -298,8 +301,7 @@ elseif(CASE STREQUAL "serve_wire")
                 --stripes ${stripes} --validate
                 --metrics "${dir}/metrics.json"
             CLIENT --connections 3 --pipeline 64 --workload zipf
-                --ops 200000 --keys 65536 --seed 7 --shards 8
-                --expect-fresh)
+                --ops 200000 --keys 65536 --seed 7 --expect-fresh)
         expect_same("--stripes ${stripes} client summary" "${want}"
             "${wire}")
         expect_same("--stripes ${stripes} server summary" "${want}"
@@ -334,17 +336,20 @@ elseif(CASE STREQUAL "serve_replay")
             --shards 4 --workers 1 --seed 7)
         # The title row names the trace path or the endpoint.
         drop_lines(want "${inproc}" 1)
-        # --shards must match the server's: the client partitions the
-        # trace by owning shard so each connection keeps per-shard op
-        # order.
         loopback("${WORK_DIR}/${name}"
             SERVER --net-workers 2 --policy acl --shards 4 --seed 7
                 --validate
             CLIENT --replay "${${name}}" --connections 3 --pipeline 64
-                --shards 4 --seed 7 --expect-fresh)
+                --seed 7 --expect-fresh)
         expect_same("${name} client summary" "${want}" "${wire}")
         expect_same("${name} server summary" "${want}" "${server}")
     endforeach()
+    execute_process(COMMAND "${CSRSERVE}" --connect 127.0.0.1:1 --shards 4
+        RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR "csrserve --connect --shards 4 exited ${rc}, "
+            "not 2 (ConfigError):\n${err}")
+    endif()
 elseif(CASE STREQUAL "serve_chaos")
     foreach(seed 42 1337)
         foreach(run a b)
@@ -352,8 +357,7 @@ elseif(CASE STREQUAL "serve_chaos")
                 SERVER --net-workers 2 --policy acl --seed 7 --stripes 4
                     --validate --chaos-rate 0.02 --chaos-seed ${seed}
                 CLIENT --connections 3 --pipeline 64 --workload zipf
-                    --ops 200000 --keys 65536 --seed 7 --shards 8
-                    --allow-errors)
+                    --ops 200000 --keys 65536 --seed 7 --allow-errors)
             # The client's title and the server's "listening" line
             # name the ephemeral port; the server's title names the
             # chaos seed, which the cross-seed check must not lean on.

@@ -37,6 +37,7 @@
 #include "serve/net/RespClient.h"
 #include "serve/net/RespParser.h"
 #include "serve/net/Server.h"
+#include "util/CliArgs.h"
 #include "util/Random.h"
 
 using namespace csr;
@@ -582,10 +583,11 @@ TEST(NetServeLoopback, CommandsRoundTripAgainstARealServer)
     // INFO parses back into the service's own totals.
     const auto info = client.roundTrip({"INFO"});
     ASSERT_EQ(info.type, '$');
-    const ServeTotals parsed = parseInfoTotals(info.text);
+    const InfoTotals parsed = parseInfoTotals(info.text);
     const ServeTotals live = service.totals();
-    EXPECT_EQ(parsed, live);
-    EXPECT_GT(parsed.gets, 0u);
+    EXPECT_EQ(parsed.serve, live);
+    EXPECT_GT(parsed.serve.gets, 0u);
+    EXPECT_EQ(parsed.shards, service.numShards());
     EXPECT_NE(info.text.find("\nsends:"), std::string::npos);
 
     server.stop();
@@ -850,7 +852,6 @@ expectWireMatchesInProcess(unsigned stripes, std::size_t pipeline)
     client_config.port = server.port();
     client_config.connections = 3;
     client_config.pipeline = pipeline;
-    client_config.serverShards = serve_config.shards;
     client_config.harness.ops = 20000;
     client_config.harness.seed = 7;
     client_config.harness.mix.numKeys = 4096;
@@ -914,18 +915,32 @@ INSTANTIATE_TEST_SUITE_P(
                "_pipeline" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(NetClientLoadTest, ShardPartitionMatchesTheService)
+TEST(NetClientLoadTest, ExpectFreshCountsDels)
 {
-    ServeConfig config = tinyServeConfig();
-    SyntheticBackendConfig backend_config;
-    SyntheticBackend backend(backend_config);
-    CacheService service(config, backend);
-    Rng rng(9);
-    for (int i = 0; i < 1000; ++i) {
-        const Addr key = rng.next();
-        EXPECT_EQ(wireShardOf(key, config.shards),
-                  service.shardOf(key));
+    // One DEL the client never sent reaches the server first.  Its
+    // GETs and SETs still match the client's, so only the DEL count
+    // can tell that the server was not fresh.
+    SyntheticBackend backend(SyntheticBackendConfig{});
+    CacheService service(tinyServeConfig(), backend);
+    NetServer server(service, NetServerConfig{});
+    server.start();
+    {
+        RespClient stray("127.0.0.1", server.port(), 10.0);
+        EXPECT_EQ(stray.roundTrip({"DEL", "1"}).type, ':');
     }
+
+    ClientConfig client_config;
+    client_config.host = "127.0.0.1";
+    client_config.port = server.port();
+    client_config.harness.ops = 2000;
+    client_config.harness.mix.numKeys = 256;
+    const ClientResult wire = runClientLoad(client_config);
+    server.stop();
+
+    EXPECT_EQ(wire.sentGets, wire.harness.totals.gets);
+    EXPECT_EQ(wire.sentSets, wire.harness.totals.stores);
+    EXPECT_EQ(wire.sentDels, 0u);
+    EXPECT_FALSE(wire.consistentWithServer());
 }
 
 namespace
@@ -988,14 +1003,21 @@ TEST(NetInfoParse, RejectsMissingServeSection)
     std::string dropped = info;
     dropped.erase(row, info.find('\n', row + 1) - row);
     EXPECT_NE(parseError(dropped).find("storeHits"), std::string::npos);
+
+    // So does a reply without the "# net" section cmdDel is read from.
+    const std::string serve_only = info.substr(0, info.find("# net"));
+    EXPECT_NE(parseError(serve_only).find("# net"), std::string::npos);
 }
 
 TEST(NetInfoParse, RejectsMalformedValue)
 {
     const std::string info = sampleInfo();
-    const ServeTotals totals = parseInfoTotals(info);
+    const InfoTotals parsed = parseInfoTotals(info);
+    const ServeTotals &totals = parsed.serve;
     EXPECT_GT(totals.gets, 0u);
     EXPECT_GT(totals.missCostNs, 0.0);
+    EXPECT_EQ(parsed.shards, tinyServeConfig().shards);
+    EXPECT_EQ(parsed.cmdDel, 0u);
 
     for (const auto &[key, value] :
          std::vector<std::pair<std::string, std::string>>{
@@ -1007,6 +1029,10 @@ TEST(NetInfoParse, RejectsMalformedValue)
              {"missCostNs", "1.5ns"},
              {"hitRatio", "ratio"},
              {"staleServes", "0x10"},
+             {"shards", "x"},
+             {"shards", "0"},
+             {"shards", "3"},
+             {"cmdDel", "-1"},
          }) {
         const std::string message =
             parseError(withValue(info, key, value));
@@ -1014,11 +1040,12 @@ TEST(NetInfoParse, RejectsMalformedValue)
             << key << ":" << value << " -> " << message;
     }
 
-    // Unknown keys, and every row outside "# serve", are not read.
+    // Unknown keys, and every "# net" row but cmdDel, are not read.
     std::string extra = withValue(info, "stripes", "?");
     extra.insert(extra.find('\n') + 1, "someNewCounter:n/a\n");
-    EXPECT_EQ(parseInfoTotals(extra), totals);
-    EXPECT_EQ(parseInfoTotals(withValue(info, "cmdGet", "x")), totals);
+    EXPECT_EQ(parseInfoTotals(extra).serve, totals);
+    EXPECT_EQ(parseInfoTotals(withValue(info, "cmdGet", "x")).serve,
+              totals);
 }
 
 TEST(NetServerConfigTest, ValidatesFlagsAndSpecs)
@@ -1033,7 +1060,20 @@ TEST(NetServerConfigTest, ValidatesFlagsAndSpecs)
     client.port = 1;
     client.connections = 0;
     EXPECT_THROW(client.validate(), ConfigError);
-    client.connections = 1;
-    client.serverShards = 3; // not a power of two
-    EXPECT_THROW(client.validate(), ConfigError);
+}
+
+TEST(NetServerConfigTest, ClientTakesShardsFromTheServer)
+{
+    const char *argv[] = {"csrserve", "--connect", "127.0.0.1:7411",
+                          "--shards", "4"};
+    const CliArgs args(static_cast<int>(std::size(argv)),
+                       const_cast<char **>(argv));
+    try {
+        ClientConfig::fromArgs(args);
+        ADD_FAILURE() << "--connect accepted --shards";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("from the server"),
+                  std::string::npos)
+            << e.what();
+    }
 }

@@ -608,6 +608,29 @@ TEST(LoadHarness, TotalsAreWorkerCountInvariantUnderStriping)
     }
 }
 
+TEST(LoadHarness, PlanSplitsByOwningShardInStreamOrder)
+{
+    // Each run holds exactly the ops whose shard it owns, in stream
+    // order, and the runs together hold the whole stream.
+    const HarnessConfig config = smallHarnessConfig(10'000, 1);
+    const ShardMap shard_of(8);
+    const auto plan = planOps(config, 8, 3);
+    ASSERT_EQ(plan.size(), 3u);
+    std::vector<std::size_t> next(plan.size(), 0);
+    KeyGenerator gen(config.mix, config.seed);
+    for (std::uint64_t i = 0; i < config.ops; ++i) {
+        const Op op = gen.next();
+        const auto &run = plan[shard_of(op.key) % plan.size()];
+        std::size_t &at = next[shard_of(op.key) % plan.size()];
+        ASSERT_LT(at, run.size()) << "op " << i;
+        EXPECT_EQ(run[at].key, op.key) << "op " << i;
+        EXPECT_EQ(run[at].write, op.write) << "op " << i;
+        ++at;
+    }
+    for (std::size_t p = 0; p < plan.size(); ++p)
+        EXPECT_EQ(next[p], plan[p].size()) << "run " << p;
+}
+
 TEST(LoadHarness, SeedChangesTheRun)
 {
     SyntheticBackend backend(SyntheticBackendConfig{});

@@ -26,13 +26,14 @@
  *            --policy acl --stripes auto
  *
  * Client (--connect HOST:PORT): replay the same deterministic op
- * stream over C RESP connections against a remote csrserve; the
- * summary table is built from the server's INFO totals, so a wire
- * run of a fresh server prints the same deterministic numbers as an
- * in-process run with the same flags:
+ * stream over C RESP connections against a remote csrserve, split by
+ * the shard count its INFO reports; the summary table is built from
+ * the server's INFO totals, so a wire run of a fresh server prints
+ * the same deterministic numbers as an in-process run with the same
+ * flags:
  *
  *   csrserve --connect 127.0.0.1:7411 --connections 4 \
- *            --ops 200000 --seed 7 --shards 8 [--expect-fresh]
+ *            --ops 200000 --seed 7 [--expect-fresh]
  *
  * Trace replay/capture (src/replay): the in-process and --connect
  * modes accept --replay T.csrt to drive a recorded .csrt trace
@@ -192,8 +193,8 @@ usage()
            "              (server-wide -BUSY watermarks; 0 disables)\n"
            "            --connect HOST:PORT (drive a remote server)\n"
            "            --connections C --pipeline W --net-timeout S\n"
-           "            --expect-fresh (client: fail unless server\n"
-           "              totals == ops sent)\n"
+           "            --expect-fresh (client: fail unless the\n"
+           "              server served every GET/SET/DEL sent)\n"
            "            --allow-errors (client: count -ERR/-BUSY\n"
            "              replies instead of failing on them)\n"
            "  breaker:  --breaker 0|1 --breaker-window N\n"
@@ -398,7 +399,9 @@ runClient(const CliArgs &args)
             std::to_string(result.harness.totals.gets) + " vs " +
             std::to_string(result.sentGets) + ", stores " +
             std::to_string(result.harness.totals.stores) + " vs " +
-            std::to_string(result.sentSets) +
+            std::to_string(result.sentSets) + ", dels " +
+            std::to_string(result.serverDels) + " vs " +
+            std::to_string(result.sentDels) +
             "): the server was not fresh or lost ops");
     return exitcode::kOk;
 }

@@ -114,13 +114,7 @@ runRecord(const CliArgs &args)
     if (ops == 0)
         throw ConfigError("--ops must be >= 1");
 
-    serve::WorkloadMix mix;
-    mix.dist = serve::parseKeyDist(args.get("workload", "zipf"));
-    mix.numKeys = args.getUInt("keys", mix.numKeys);
-    mix.zipfTheta = args.getDouble("zipf-theta", mix.zipfTheta);
-    mix.hotFraction = args.getDouble("hot-frac", mix.hotFraction);
-    mix.hotProbability = args.getDouble("hot-prob", mix.hotProbability);
-    mix.writeFraction = args.getDouble("write-frac", mix.writeFraction);
+    const serve::WorkloadMix mix = serve::WorkloadMix::fromArgs(args);
     const std::uint64_t seed = args.seed(1);
 
     const auto value_size = static_cast<std::uint32_t>(
