@@ -67,7 +67,7 @@ std::string policyNamesJoined(const std::string &sep = "|");
 /** The online policies only: listPolicyNames() without the offline
  *  oracles opt and costopt, which need the whole future and so cannot
  *  drive a live service or a streamed replay.  Inline: only help
- *  text and tests call it, so the policy library's code stays as is. */
+ *  text, config diagnostics and tests call it. */
 inline std::string
 onlinePolicyNamesJoined(const std::string &sep = "|")
 {

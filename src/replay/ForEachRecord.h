@@ -34,7 +34,7 @@ forEachRecord(TraceReader &reader, std::uint64_t count, Fn &&fn)
     std::uint64_t i = 0;
     for (std::uint64_t b = 0; b < reader.blockCount() && i < count;
          ++b) {
-        reader.readBlock(b, block);
+        reader.readBlock(b, block, Projection::Replay);
         for (std::size_t r = 0; r < block.size() && i < count; ++r, ++i)
             fn(block.key[r], static_cast<TraceOp>(block.op[r]));
     }

@@ -42,12 +42,13 @@ static_assert(sizeof(Entry) == 24, "Replayer.h states the ring bound");
 /**
  * The decode stage between one TraceReader and the replay jobs.  The
  * decoder decodes block b once, writes its records as Entries grouped
- * by owning job (set % jobs, in trace order within each group) into
- * ring slot b % kSlots, and publishes it; job j replays its run of
- * each block in block order and counts the block done.  The decoder
- * refills a slot only after every job has finished the block in it,
- * so it runs at most kSlots blocks ahead of the slowest job.  Every
- * wait blocks in std::atomic::wait; abort() wakes all of them.
+ * by owning job (set % jobs) and, within each job's run, by ascending
+ * set bucket, in trace order within each bucket, into ring slot
+ * b % kSlots, and publishes it; job j replays its run of each block in
+ * block order and counts the block done.  The decoder refills a slot
+ * only after every job has finished the block in it, so it runs at
+ * most kSlots blocks ahead of the slowest job.  Every wait blocks in
+ * std::atomic::wait; abort() wakes all of them.
  */
 class DecodeStage
 {
@@ -66,6 +67,18 @@ class DecodeStage
     {
         for (Slot &slot : slots_)
             slot.begin.resize(jobs + 1);
+        // A bucket is 2^shift_ consecutive sets of one job.  Job 0
+        // owns the most sets; widen the buckets until all of them fit
+        // in a block's record capacity (or one per job), so the sort's
+        // scratch is O(block) for any geometry.
+        const std::uint64_t owned = (geom.numSets() + jobs - 1) / jobs;
+        const std::uint64_t cap =
+            std::max<std::uint64_t>(reader.blockSize() / jobs, 1);
+        while (((owned - 1) >> shift_) + 1 > cap)
+            ++shift_;
+        bucketsPerJob_ =
+            static_cast<std::uint32_t>(((owned - 1) >> shift_) + 1);
+        start_.resize(std::size_t{jobs} * bucketsPerJob_ + 1);
     }
 
     /** The decoder's side.  @throws what TraceReader::readBlock
@@ -78,7 +91,7 @@ class DecodeStage
             if (!awaitSlot(b))
                 return;
             const auto t0 = Clock::now();
-            reader_.readBlock(b, block);
+            reader_.readBlock(b, block, Projection::Replay);
             const std::uint64_t left = totalOps_ - b * reader_.blockSize();
             fill(slots_[b % kSlots], block,
                  left < block.size() ? static_cast<std::size_t>(left)
@@ -175,42 +188,48 @@ class DecodeStage
         return !(p & kAborted);
     }
 
-    /** Write the first @p n records of @p block into @p slot as
-     *  Entries, grouped by owning job: a counting sort on set % jobs,
-     *  stable, so each set keeps trace order. */
+    /**
+     * Write the first @p n records of @p block into @p slot as Entries:
+     * one stable counting sort on (owning job, set bucket), so job j's
+     * run walks its sets in ascending order and each set keeps trace
+     * order, which is all the policies' per-set state needs.  The sort
+     * scatters 4-byte record indices in decoder-private scratch, then
+     * writes the slot front to back: scattered stores into lines a job
+     * core last read would each wait to take the line back.
+     */
     void
     fill(Slot &slot, const ReplayBlock &block, std::size_t n)
     {
         if (slot.entries.size() < n)
             slot.entries.resize(n);
-        Entry *entries = slot.entries.data();
-        std::vector<std::uint32_t> &begin = slot.begin;
-        if (jobs_ == 1) { // one run: the sort would copy in order
-            for (std::size_t i = 0; i < n; ++i)
-                entries[i] = entryOf(block, i);
-            begin[1] = static_cast<std::uint32_t>(n);
-            return;
+        if (set_.size() < n) {
+            set_.resize(n);
+            bucket_.resize(n);
+            order_.resize(n);
         }
-        owner_.resize(n);
-        std::fill(begin.begin(), begin.end(), 0);
+        std::fill(start_.begin(), start_.end(), 0);
         for (std::size_t i = 0; i < n; ++i) {
-            owner_[i] = geom_.setIndex(block.key[i] * blockBytes_) % jobs_;
-            ++begin[owner_[i] + 1];
+            const std::uint32_t set =
+                geom_.setIndex(block.key[i] * blockBytes_);
+            set_[i] = set;
+            bucket_[i] = set % jobs_ * bucketsPerJob_ +
+                         (set / jobs_ >> shift_);
+            ++start_[bucket_[i] + 1];
         }
-        for (unsigned j = 0; j < jobs_; ++j)
-            begin[j + 1] += begin[j];
-        cursor_.assign(begin.begin(), begin.end() - 1);
+        for (std::size_t k = 1; k < start_.size(); ++k)
+            start_[k] += start_[k - 1];
+        for (unsigned j = 0; j <= jobs_; ++j)
+            slot.begin[j] = start_[std::size_t{j} * bucketsPerJob_];
         for (std::size_t i = 0; i < n; ++i)
-            entries[cursor_[owner_[i]]++] = entryOf(block, i);
-    }
-
-    Entry
-    entryOf(const ReplayBlock &block, std::size_t i) const
-    {
-        const Addr addr = block.key[i] * blockBytes_;
-        return {geom_.tag(addr),
-                block.costHint[i] ? block.costHint[i] : defaultCostNs_,
-                geom_.setIndex(addr), static_cast<TraceOp>(block.op[i])};
+            order_[start_[bucket_[i]]++] = static_cast<std::uint32_t>(i);
+        Entry *entries = slot.entries.data();
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint32_t i = order_[k];
+            entries[k] = {geom_.tag(block.key[i] * blockBytes_),
+                          block.costHint[i] ? block.costHint[i]
+                                            : defaultCostNs_,
+                          set_[i], static_cast<TraceOp>(block.op[i])};
+        }
     }
 
     TraceReader &reader_;
@@ -227,9 +246,17 @@ class DecodeStage
     /** Blocks each job has finished (plus kAborted). */
     std::vector<std::atomic<std::uint64_t>> done_;
 
-    // Decoder-only scratch.
-    std::vector<std::uint32_t> owner_;
-    std::vector<std::uint32_t> cursor_;
+    /** Set bucket of a job's set s: (s / jobs) >> shift_. */
+    unsigned shift_ = 0;
+    std::uint32_t bucketsPerJob_ = 0;
+
+    // Decoder-only scratch: each record's set and bucket, the block's
+    // record indices in sorted order, and each bucket's start (then
+    // its write cursor).
+    std::vector<std::uint32_t> set_;
+    std::vector<std::uint32_t> bucket_;
+    std::vector<std::uint32_t> order_;
+    std::vector<std::uint32_t> start_;
     double decodeSec_ = 0.0;
 };
 
@@ -274,7 +301,7 @@ ReplayConfig::validate() const
         throw ConfigError(
             std::string("policy '") + policyKindName(policy) +
             "' is offline (needs the future) and cannot replay a "
-            "stream; valid: lru random lfu gd bcl dcl acl");
+            "stream; valid: " + onlinePolicyNamesJoined(" "));
     if (defaultCostNs == 0)
         throw ConfigError("--default-cost must be >= 1 ns (it is the "
                           "miss cost of records without a hint)");
@@ -314,10 +341,11 @@ replayTrace(const ReplayConfig &config)
     std::vector<ReplayTotals> totals(jobs);
     std::vector<double> wait_sec(jobs);
 
-    // Job j replays, in global trace order, exactly the records whose
-    // set satisfies set % jobs == j.  Sets are independent in the
-    // model and in every online policy, so the merged counters are
-    // byte-identical to a jobs=1 run (see the header comment).  The
+    // Job j replays exactly the records whose set satisfies
+    // set % jobs == j, set by set, each set's in global trace order.
+    // Sets are independent in the model and in every online policy,
+    // so the merged counters are byte-identical to a serial run in
+    // trace order (see the header comment).  The
     // counters stay on the job's stack until it ends: jobs never
     // write a shared cache line per record.
     const auto run_job = [&](unsigned j) {

@@ -14,19 +14,27 @@
  * --jobs value.  The partition that makes that true is by cache SET,
  * not by trace segment -- job j owns every set s with s % jobs == j,
  * runs its own CacheModel + policy instance, and replays only the
- * owned subsequence *in global trace order*.  Sets are independent in
- * CacheModel and in every policy (victim selection, recency, ETDs are
- * all per-set), so the merged counters equal a single-threaded run's
- * exactly.  Cost totals accumulate in integer nanoseconds, so the
- * merge is associative -- no floating-point reassociation across
- * jobs.
+ * owned subsequence, each set's records in global trace order.  Sets
+ * are independent in CacheModel and in every policy (victim selection,
+ * recency, ETDs, ACL counters and RandomPolicy's draws are all per
+ * set), so order ACROSS sets is free, and the merged counters equal a
+ * single-threaded run's exactly.  Cost totals accumulate in integer
+ * nanoseconds, so the merge is associative -- no floating-point
+ * reassociation across jobs.
  *
  * One decode stage feeds the jobs at every --jobs value, 1 included:
  * a decoder thread decodes each block exactly once (one TraceReader,
- * TraceReader::readBlock), applies --max-ops, and writes each record
- * as a precomputed (set, tag, op, cost) entry into the run of the job
- * that owns its set.  The runs of one block share a slot of a fixed
- * ring of 8 blocks; job j replays its run of block b, in block
+ * TraceReader::readBlock with Projection::Replay), applies --max-ops,
+ * and writes each record as a precomputed (set, tag, op, cost) entry
+ * into the run of the job that owns its set.  A job's run of a block
+ * is grouped by set, in ascending set order, so the job walks its set
+ * state in address order instead of one random set per record: one
+ * stable counting sort on (owning job, set bucket).  A bucket is one
+ * set until a job owns more sets than a block has records per job;
+ * then it is 2^k consecutive sets, so the sort's counters and scratch
+ * (a set, a bucket and a sorted index per record, 4 bytes each) stay
+ * O(block) for any geometry.  The runs of one block share a slot of
+ * a fixed ring of 8 blocks; job j replays its run of block b, in block
  * order, and the decoder refills b's slot with block b + 8 once every
  * job is done with it.  So replay runs --jobs threads plus the
  * decoder, every wait blocks in std::atomic::wait (no hand-written

@@ -19,17 +19,20 @@ namespace
 {
 
 /**
- * Decode one column's payload into @p out (a u64/u32/u8 vector).
- * @p col_offset is the file offset of the payload, for error text.
+ * Decode one column's payload into @p out (a u64/u32/u8 vector), or,
+ * with no @p out, only frame and validate it: the same size and
+ * varint checks and the same errors, with no stores.  @p col_offset is
+ * the file offset of the payload, for error text.
  */
 template <typename T>
 void
 decodeColumn(Encoding encoding, const std::uint8_t *payload,
              std::size_t payload_bytes, std::size_t records,
-             std::vector<T> &out, std::uint64_t col_offset,
+             std::vector<T> *out, std::uint64_t col_offset,
              const std::string &path)
 {
-    out.resize(records);
+    if (out != nullptr)
+        out->resize(records);
     if (encoding == kEncodingRaw) {
         if (payload_bytes != records * sizeof(T))
             throw TraceFormatError(
@@ -37,17 +40,21 @@ decodeColumn(Encoding encoding, const std::uint8_t *payload,
                     std::to_string(payload_bytes) + " bytes, want " +
                     std::to_string(records * sizeof(T)),
                 col_offset);
+        if (out == nullptr)
+            return;
+        T *dst = out->data();
         for (std::size_t i = 0; i < records; ++i) {
             if constexpr (sizeof(T) == 8)
-                out[i] = static_cast<T>(get64(payload + i * 8));
+                dst[i] = static_cast<T>(get64(payload + i * 8));
             else if constexpr (sizeof(T) == 4)
-                out[i] = static_cast<T>(get32(payload + i * 4));
+                dst[i] = static_cast<T>(get32(payload + i * 4));
             else
-                out[i] = static_cast<T>(payload[i]);
+                dst[i] = static_cast<T>(payload[i]);
         }
         return;
     }
     // Varint: consecutive zig-zag deltas.
+    T *dst = out != nullptr ? out->data() : nullptr;
     const std::uint8_t *p = payload;
     const std::uint8_t *end = payload + payload_bytes;
     std::uint64_t prev = 0;
@@ -58,8 +65,10 @@ decodeColumn(Encoding encoding, const std::uint8_t *payload,
                 "truncated varint column in '" + path + "'",
                 col_offset +
                     static_cast<std::uint64_t>(p - payload));
-        prev += static_cast<std::uint64_t>(unzigzag(zz));
-        out[i] = static_cast<T>(prev);
+        if (dst != nullptr) {
+            prev += static_cast<std::uint64_t>(unzigzag(zz));
+            dst[i] = static_cast<T>(prev);
+        }
     }
     if (p != end)
         throw TraceFormatError(
@@ -291,9 +300,9 @@ TraceReader::blockRecords(std::uint64_t block) const
 }
 
 void
-TraceReader::readBlock(std::uint64_t block, ReplayBlock &out)
+TraceReader::readBlock(std::uint64_t block, ReplayBlock &out,
+                       Projection projection)
 {
-    out.clear();
     const std::uint32_t records = blockRecords(block);
     const std::uint64_t offset = index_[block].offset;
     const std::uint64_t nbytes = blockBytes(block);
@@ -344,19 +353,29 @@ TraceReader::readBlock(std::uint64_t block, ReplayBlock &out)
         return offset +
                static_cast<std::uint64_t>(payloads[c] - data);
     };
-    std::vector<std::uint64_t> ts_delta;
+    // The replay projection frames and validates the timestamp and
+    // value-size columns but stores neither.  Stored columns are
+    // resized, not cleared first, so a block of the same size as the
+    // last one is not zero-filled before its decode overwrites it.
+    const bool full = projection == Projection::Full;
+    if (!full) {
+        out.tsNs.clear();
+        out.valueSize.clear();
+    }
     decodeColumn(encodings[kColTs], payloads[kColTs], sizes[kColTs],
-                 records, ts_delta, col_off(kColTs), path_);
+                 records, full ? &out.tsNs : nullptr, col_off(kColTs),
+                 path_);
     decodeColumn(encodings[kColKey], payloads[kColKey],
-                 sizes[kColKey], records, out.key, col_off(kColKey),
+                 sizes[kColKey], records, &out.key, col_off(kColKey),
                  path_);
     decodeColumn(encodings[kColOp], payloads[kColOp], sizes[kColOp],
-                 records, out.op, col_off(kColOp), path_);
+                 records, &out.op, col_off(kColOp), path_);
     decodeColumn(encodings[kColValueSize], payloads[kColValueSize],
-                 sizes[kColValueSize], records, out.valueSize,
+                 sizes[kColValueSize], records,
+                 full ? &out.valueSize : nullptr,
                  col_off(kColValueSize), path_);
     decodeColumn(encodings[kColCostHint], payloads[kColCostHint],
-                 sizes[kColCostHint], records, out.costHint,
+                 sizes[kColCostHint], records, &out.costHint,
                  col_off(kColCostHint), path_);
 
     for (std::size_t i = 0; i < records; ++i) {
@@ -367,12 +386,12 @@ TraceReader::readBlock(std::uint64_t block, ReplayBlock &out)
                  col_off(kColOp));
     }
 
-    // Rehydrate absolute timestamps from the per-record deltas.
-    out.tsNs.resize(records);
+    // Rehydrate absolute timestamps from the per-record deltas, in
+    // place.
     std::uint64_t ts = base_ts;
-    for (std::size_t i = 0; i < records; ++i) {
-        ts += ts_delta[i];
-        out.tsNs[i] = ts;
+    for (std::uint64_t &t : out.tsNs) {
+        ts += t;
+        t = ts;
     }
 }
 

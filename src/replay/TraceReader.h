@@ -40,6 +40,15 @@ ReadMode requireReadMode(const std::string &name);
 
 const char *readModeName(ReadMode mode);
 
+/** Which columns readBlock stores.  Every projection frames and
+ *  validates all five columns and throws the same errors. */
+enum class Projection
+{
+    Full,
+    /** key, op and cost hint only: tsNs and valueSize stay empty. */
+    Replay,
+};
+
 /** One decoded block, SoA (timestamps are absolute again). */
 struct ReplayBlock
 {
@@ -61,7 +70,8 @@ struct ReplayBlock
         costHint.clear();
     }
 
-    /** Row view of record @p i (tests and the info tool). */
+    /** Row view of record @p i of a Projection::Full block (tests
+     *  and the info tool). */
     ReplayRecord record(std::size_t i) const;
 };
 
@@ -102,9 +112,12 @@ class TraceReader
 
     std::uint32_t blockRecords(std::uint64_t block) const;
 
-    /** Decode block @p block into @p out (cleared first).  @throws
-     *  TraceFormatError on any malformed content. */
-    void readBlock(std::uint64_t block, ReplayBlock &out);
+    /** Decode block @p block into @p out, replacing its contents,
+     *  storing the columns @p projection names.  @throws
+     *  TraceFormatError on any malformed content, in any column,
+     *  whatever the projection. */
+    void readBlock(std::uint64_t block, ReplayBlock &out,
+                   Projection projection = Projection::Full);
 
     /** The encoding byte of one column of one block (the info tool
      *  and the fallback tests read this). */

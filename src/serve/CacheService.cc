@@ -156,8 +156,8 @@ ServeConfig::validate() const
                           ") must be a power of two >= 2");
     if (policy == PolicyKind::Opt || policy == PolicyKind::CostOpt)
         throw ConfigError("offline oracle policies cannot drive an "
-                          "online service (pick one of lru random lfu "
-                          "gd bcl dcl acl)");
+                          "online service (pick one of " +
+                          onlinePolicyNamesJoined(" ") + ")");
     if (stripes != kStripesAuto && !isPow2(stripes))
         throw ConfigError("stripe count (" + std::to_string(stripes) +
                           ") must be a power of two, or 0 for auto");

@@ -16,8 +16,10 @@
  * data stores are visible before the even version, the reader's
  * begin load is an acquire so the data loads cannot float above it,
  * and validation issues an acquire fence so the re-read of the
- * version cannot complete before the data loads.  All participating
- * accesses are atomic, which also makes the protocol TSan-clean.
+ * version cannot complete before the data loads (under TSan, which
+ * does not model fences, an acq_rel fetch_add(0) does that job).  All
+ * participating accesses are atomic, which also makes the protocol
+ * TSan-clean.
  */
 
 #ifndef CSR_SERVE_SEQLOCK_H
@@ -25,6 +27,8 @@
 
 #include <atomic>
 #include <cstdint>
+
+#include "util/Atomics.h"
 
 namespace csr::serve
 {
@@ -43,9 +47,18 @@ class Seqlock
     bool
     readValidate(std::uint64_t begin) const
     {
+#if defined(CSR_TSAN)
+        // TSan does not model fences (GCC rejects them under
+        // -fsanitize=thread): validate with Boehm's read-don't-modify-
+        // write instead, whose release half keeps the data loads
+        // before it.
+        return (begin & 1) == 0 &&
+               seq_.fetch_add(0, std::memory_order_acq_rel) == begin;
+#else
         std::atomic_thread_fence(std::memory_order_acquire);
         return (begin & 1) == 0 &&
                seq_.load(std::memory_order_relaxed) == begin;
+#endif
     }
 
     /** Version is odd while a writer is inside a write section. */
@@ -69,7 +82,8 @@ class Seqlock
     }
 
   private:
-    std::atomic<std::uint64_t> seq_{0};
+    /** Mutable for the TSan build's read-side fetch_add(0). */
+    mutable std::atomic<std::uint64_t> seq_{0};
 };
 
 /** RAII write section; the caller must hold the shard mutex. */

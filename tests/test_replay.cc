@@ -225,6 +225,25 @@ TEST(TraceRoundTrip, MmapAndBufferedDecodeIdentically)
     std::remove(path.c_str());
 }
 
+TEST(TraceRoundTrip, ReplayProjectionStoresKeyOpAndCostOnly)
+{
+    const std::vector<ReplayRecord> records = syntheticRecords(1000);
+    const std::string path = writeTrace(records, 64, "projection");
+    TraceReader reader(path);
+    ReplayBlock full;
+    ReplayBlock replay;
+    for (std::uint64_t b = 0; b < reader.blockCount(); ++b) {
+        reader.readBlock(b, full);
+        reader.readBlock(b, replay, Projection::Replay);
+        EXPECT_EQ(replay.key, full.key);
+        EXPECT_EQ(replay.op, full.op);
+        EXPECT_EQ(replay.costHint, full.costHint);
+        EXPECT_TRUE(replay.tsNs.empty());
+        EXPECT_TRUE(replay.valueSize.empty());
+    }
+    std::remove(path.c_str());
+}
+
 TEST(TraceRoundTrip, EncodingFallsBackToRawPerColumn)
 {
     // Sequential keys delta to 1 -> varint wins; hashMix64 keys are
@@ -431,7 +450,9 @@ mixedRecords(std::size_t n)
             rec.op = TraceOp::Del;
         else if (i % 3 == 1)
             rec.op = TraceOp::Set;
-        rec.valueSize = 8;
+        // Deltas up to +-600: a varint column of one- and two-byte
+        // entries, which the corruption test splits.
+        rec.valueSize = static_cast<std::uint32_t>(8 + i % 7 * 100);
         rec.costHint =
             i % 4 ? 0 : static_cast<std::uint32_t>(1 + i * 37 % 5000);
     }
@@ -492,89 +513,154 @@ serialReplay(const ReplayConfig &config)
 
 TEST(Replayer, DecodeStageMatchesSerialReference)
 {
-    // 16 blocks: twice the decode ring, so slots are reused.
-    constexpr std::uint32_t kBlock = 64;
+    // The decode stage hands each job its records grouped by set;
+    // every online policy must still match a trace-order replay.
+    // 64-record blocks: 16 blocks, twice the decode ring, so slots are
+    // reused.  8-record blocks: a job owns more sets than a block has
+    // records per job, so its buckets span 2 or 4 sets.
     constexpr std::uint64_t kRecords = 1000;
-    const std::string path =
-        writeTrace(mixedRecords(kRecords), kBlock, "stage");
-    ReplayConfig config;
-    config.path = path;
-    config.cacheBytes = 4096; // 16 sets of 4 ways for 211 keys
-    config.assoc = 4;
-    config.policy = PolicyKind::Acl;
-
-    const std::uint64_t cuts[] = {0, 1, kBlock, kBlock + 1, kRecords - 1};
-    for (std::uint64_t max_ops : cuts) {
-        config.maxOps = max_ops;
-        config.jobs = 1;
-        const ReplayTotals want = serialReplay(config);
-        EXPECT_EQ(want.ops, max_ops ? max_ops : kRecords);
-        if (max_ops == 0) { // the reference exercises every path
-            EXPECT_GT(want.hits, 0u);
-            EXPECT_GT(want.setHits, 0u);
-            EXPECT_GT(want.dels, 0u);
-            EXPECT_GT(want.evictions, 0u);
+    for (std::uint32_t block : {64u, 8u}) {
+        const std::string path =
+            writeTrace(mixedRecords(kRecords), block, "stage");
+        ReplayConfig config;
+        config.path = path;
+        config.cacheBytes = 4096; // 16 sets of 4 ways for 211 keys
+        config.assoc = 4;
+        std::istringstream names(onlinePolicyNamesJoined(" "));
+        for (std::string name; names >> name;) {
+            SCOPED_TRACE(name + ", block " + std::to_string(block));
+            config.policy = requirePolicyKind(name);
+            for (std::uint64_t max_ops :
+                 {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{block},
+                  std::uint64_t{block} + 1, kRecords - 1}) {
+                config.maxOps = max_ops;
+                config.jobs = 1;
+                const ReplayTotals want = serialReplay(config);
+                EXPECT_EQ(want.ops, max_ops ? max_ops : kRecords);
+                if (max_ops == 0) { // the reference exercises every path
+                    EXPECT_GT(want.hits, 0u);
+                    EXPECT_GT(want.setHits, 0u);
+                    EXPECT_GT(want.dels, 0u);
+                    EXPECT_GT(want.evictions, 0u);
+                }
+                for (unsigned jobs : {1u, 2u, 3u, 4u, 7u}) {
+                    config.jobs = jobs;
+                    const ReplayResult result = replayTrace(config);
+                    EXPECT_EQ(result.totals, want)
+                        << "jobs " << jobs << ", maxOps " << max_ops;
+                    EXPECT_EQ(result.jobs, jobs);
+                }
+            }
         }
-        for (unsigned jobs : {1u, 2u, 3u, 4u, 7u}) {
-            config.jobs = jobs;
-            const ReplayResult result = replayTrace(config);
-            EXPECT_EQ(result.totals, want)
-                << "jobs " << jobs << ", maxOps " << max_ops;
-            EXPECT_EQ(result.jobs, jobs);
-        }
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
+
+namespace
+{
+
+/** File offset of column @p column's header in block @p block of the
+ *  .csrt image @p file.  Header byte 40 holds the index offset, and an
+ *  index entry starts with its block's offset. */
+std::uint64_t
+columnHeaderAt(const std::vector<std::uint8_t> &file, std::uint64_t block,
+               unsigned column)
+{
+    const std::uint64_t index = format::get64(file.data() + 40);
+    std::uint64_t at =
+        format::get64(file.data() + index +
+                      block * format::kIndexEntryBytes) +
+        format::kBlockHeaderBytes;
+    for (unsigned c = 0; c < column; ++c)
+        at += format::kColumnHeaderBytes + format::get32(file.data() + at + 1);
+    return at;
+}
+
+} // namespace
 
 TEST(Replayer, CorruptBlockThrowsAtEveryJobCount)
 {
+    // Block 9 of 16 (past one turn of the ring) gets one corruption per
+    // case.  The replay decoder stores neither the timestamp nor the
+    // value-size column, yet must throw what a full readBlock throws.
     constexpr std::uint32_t kBlock = 64;
-    const std::string path = writeTrace(mixedRecords(1000), kBlock, "corrupt");
-    // Block 9 of 16 (past one turn of the ring): give its key column
-    // an encoding byte no reader knows.  Header byte 40 holds the index
-    // offset, an index entry starts with its block's offset, and the
-    // key column follows the timestamp column.
     constexpr std::uint64_t kBad = 9;
-    std::vector<std::uint8_t> bytes = readBytes(path);
-    const std::uint8_t *file = bytes.data();
-    const std::uint64_t index = format::get64(file + 40);
-    const std::uint64_t ts_column =
-        format::get64(file + index + kBad * format::kIndexEntryBytes) +
-        format::kBlockHeaderBytes;
-    const std::uint64_t key_column = ts_column + format::kColumnHeaderBytes +
-                                     format::get32(file + ts_column + 1);
-    bytes[key_column] = 0x7F;
-    writeBytes(path, bytes.data(), bytes.size());
+    const std::string clean =
+        writeTrace(mixedRecords(1000), kBlock, "clean");
+    const std::vector<std::uint8_t> good = readBytes(clean);
+    std::remove(clean.c_str());
 
-    std::string want_what;
-    std::uint64_t want_offset = 0;
-    try {
-        TraceReader reader(path);
-        ReplayBlock decoded;
-        reader.readBlock(kBad, decoded);
-        FAIL() << "readBlock accepted the corrupt block";
-    } catch (const TraceFormatError &e) {
-        want_what = e.what();
-        want_offset = e.byteOffset();
-    }
-    EXPECT_EQ(want_offset, key_column);
+    struct Case
+    {
+        const char *want; ///< in the error text
+        unsigned column;
+        /** Corrupt the column whose header starts at bytes[at]. */
+        void (*corrupt)(std::uint8_t *header);
+    };
+    const Case cases[] = {
+        {"unknown column encoding", format::kColKey,
+         [](std::uint8_t *header) { header[0] = 0x7F; }},
+        // The last varint runs past the payload's end.
+        {"truncated varint", format::kColTs,
+         [](std::uint8_t *header) {
+             ASSERT_EQ(header[0], format::kEncodingVarint);
+             const std::uint32_t len = format::get32(header + 1);
+             header[format::kColumnHeaderBytes + len - 1] |= 0x80;
+         }},
+        // Split the first two-byte varint into two one-byte ones: the
+        // block's records end one byte before the payload does.
+        {"trailing bytes", format::kColValueSize,
+         [](std::uint8_t *header) {
+             ASSERT_EQ(header[0], format::kEncodingVarint);
+             std::uint8_t *p = header + format::kColumnHeaderBytes;
+             while (!(*p & 0x80))
+                 ++p;
+             *p &= 0x7F;
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.want);
+        std::vector<std::uint8_t> bytes = good;
+        const std::uint64_t header = columnHeaderAt(bytes, kBad, c.column);
+        c.corrupt(bytes.data() + header);
+        const std::string path = tempPath("corrupt");
+        writeBytes(path, bytes.data(), bytes.size());
 
-    ReplayConfig config;
-    config.path = path;
-    config.cacheBytes = 4096;
-    config.assoc = 4;
-    config.policy = PolicyKind::Acl;
-    for (unsigned jobs : {1u, 4u}) {
-        config.jobs = jobs;
+        std::string want_what;
+        std::uint64_t want_offset = 0;
         try {
-            replayTrace(config);
-            ADD_FAILURE() << "jobs " << jobs << ": no error";
+            TraceReader reader(path);
+            ReplayBlock decoded;
+            reader.readBlock(kBad, decoded);
+            ADD_FAILURE() << "readBlock accepted the corrupt block";
         } catch (const TraceFormatError &e) {
-            EXPECT_EQ(std::string(e.what()), want_what) << "jobs " << jobs;
-            EXPECT_EQ(e.byteOffset(), want_offset) << "jobs " << jobs;
+            want_what = e.what();
+            want_offset = e.byteOffset();
         }
+        EXPECT_NE(want_what.find(c.want), std::string::npos) << want_what;
+        if (c.column == format::kColKey)
+            EXPECT_EQ(want_offset, header);
+        else // inside the payload
+            EXPECT_GT(want_offset, header + format::kColumnHeaderBytes);
+
+        ReplayConfig config;
+        config.path = path;
+        config.cacheBytes = 4096;
+        config.assoc = 4;
+        config.policy = PolicyKind::Acl;
+        for (unsigned jobs : {1u, 4u}) {
+            config.jobs = jobs;
+            try {
+                replayTrace(config);
+                ADD_FAILURE() << "jobs " << jobs << ": no error";
+            } catch (const TraceFormatError &e) {
+                EXPECT_EQ(std::string(e.what()), want_what)
+                    << "jobs " << jobs;
+                EXPECT_EQ(e.byteOffset(), want_offset) << "jobs " << jobs;
+            }
+        }
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
 
 TEST(Replayer, EmptyTraceReplaysToZero)
