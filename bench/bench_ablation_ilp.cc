@@ -10,7 +10,7 @@
  * one hides them.
  *
  * Each (benchmark, MLP point) is an independent pair of NUMA
- * simulations, fanned out across a ThreadPool ($CSR_JOBS workers);
+ * simulations, fanned out across a ThreadPool (--jobs workers);
  * every task builds its own deterministic workload, so results do not
  * depend on the worker count.
  */

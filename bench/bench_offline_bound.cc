@@ -1,11 +1,13 @@
 /**
  * @file
- * Extension: offline oracle bounds.
+ * Extension: offline reference oracles.
  *
  * The paper's companion work [Jeong & Dubois, SPAA'99] computes the
  * optimal cost-sensitive schedule offline.  This bench runs Belady's
  * OPT (miss-count-optimal) and a greedy cost-weighted oracle on the
- * same traces to bound how much headroom the online algorithms leave.
+ * same traces as reference points for the online algorithms.  Neither
+ * is a cost bound: the greedy oracle is a heuristic, and OPT ignores
+ * cost.  An exact CSOPT is meant to replace both.
  * Offline policies need a policy-independent access stream, so these
  * runs disable the L1 (see TraceStudy); LRU/DCL are re-run in the
  * same L2-only configuration for a fair comparison.
@@ -24,8 +26,8 @@ main(int argc, char **argv)
 {
     const CliArgs args = bench::benchArgs(argc, argv);
     const WorkloadScale scale = bench::scaleFrom(args);
-    bench::banner("Offline bounds (L2-only hierarchy, first touch, "
-                  "r=4)", scale);
+    bench::banner("Offline reference oracles (L2-only hierarchy, first "
+                  "touch, r=4)", scale);
 
     TextTable table("Savings over LRU (%), L2-only");
     table.setHeader({"Benchmark", "DCL", "ACL", "OPT (miss count)",
@@ -48,8 +50,9 @@ main(int argc, char **argv)
         });
     }
     table.print(std::cout);
-    std::cout << "\n(the oracles bound what any online policy could "
-                 "reach; CostOPT~ is a greedy heuristic, not the true "
-                 "CSOPT)\n";
+    std::cout << "\n(reference oracles, not bounds: OPT minimizes the "
+                 "miss count and CostOPT~ is a greedy heuristic, not the "
+                 "true CSOPT, so either can save less than a "
+                 "cost-optimal schedule)\n";
     return 0;
 }

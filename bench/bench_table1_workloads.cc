@@ -9,7 +9,7 @@
  * is the calibrated quantity (it drives the first-touch cost study).
  *
  * The four traces are built in parallel through the sweep engine's
- * setup phase ($CSR_JOBS workers).
+ * setup phase (--jobs workers).
  */
 
 #include <iostream>

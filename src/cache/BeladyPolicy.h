@@ -4,12 +4,13 @@
  *
  * BeladyPolicy is the classic OPT/MIN algorithm that minimizes miss
  * *count*; CostAwareBeladyPolicy is a greedy cost-weighted variant.
- * Neither is part of the paper's online proposal -- they implement the
- * offline bounds the paper discusses via its companion work [Jeong &
- * Dubois, SPAA'99] and are used by the bench_offline_bound extension
- * experiment.  The true cost-optimal schedule (CSOPT) requires search
- * over reservation schedules; the greedy variant here is a documented
- * heuristic, not CSOPT.
+ * Neither is part of the paper's online proposal -- they are reference
+ * oracles for the bench_offline_bound extension experiment, standing in
+ * for the offline optimum the paper discusses via its companion work
+ * [Jeong & Dubois, SPAA'99].  Neither bounds cost: the true
+ * cost-optimal schedule (CSOPT) requires search over reservation
+ * schedules, the greedy variant here is a documented heuristic that can
+ * save less than OPT, and an exact CSOPT is meant to replace both.
  */
 
 #ifndef CSR_CACHE_BELADYPOLICY_H

@@ -708,69 +708,203 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
     return result;
 }
 
-SweepGrid
-presetGrid(const std::string &name)
+namespace
 {
-    SweepGrid grid;
-    if (name == "table1") {
-        // The Table 1 workloads under every paper policy and both
-        // mappings at the headline operating point (r=4, HAF=0.3).
-        grid.mappings = {CostMapping::Random, CostMapping::FirstTouch};
-        return grid;
+
+/** Index of @p key in @p keys, appending it when new. */
+template <typename Key>
+std::size_t
+indexOf(std::vector<Key> &keys, const Key &key)
+{
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it != keys.end())
+        return static_cast<std::size_t>(it - keys.begin());
+    keys.push_back(key);
+    return keys.size() - 1;
+}
+
+std::string
+benchmarkOf(const SweepCellResult &res)
+{
+    return sourceNameOf(res.cell);
+}
+
+std::string
+policyOf(const SweepCellResult &res)
+{
+    return policyKindName(res.cell.policy);
+}
+
+std::string
+ratioOf(const SweepCellResult &res)
+{
+    return res.cell.ratio.label();
+}
+
+} // namespace
+
+void
+SweepView::print(std::ostream &os,
+                 const std::vector<SweepCellResult> &cells) const
+{
+    using Labels = std::vector<std::string>;
+    struct Pane
+    {
+        std::vector<Labels> rows;
+        Labels columns;
+        std::map<std::pair<std::size_t, std::size_t>, std::string> values;
+    };
+    Labels titles;
+    std::vector<Pane> panes;
+    for (const SweepCellResult &res : cells) {
+        const std::size_t p = indexOf(titles, title(res));
+        if (p == panes.size())
+            panes.emplace_back();
+        Pane &pane = panes[p];
+        Labels labels;
+        for (const RowKey &row : rows)
+            labels.push_back(row.key(res));
+        pane.values[{indexOf(pane.rows, labels),
+                     indexOf(pane.columns, column(res))}] =
+            TextTable::num(res.savingsPct, 2);
     }
-    if (name == "fig3") {
-        grid.mappings = {CostMapping::Random};
-        grid.ratios = {
-            CostRatio::finite(2),  CostRatio::finite(4),
-            CostRatio::finite(8),  CostRatio::finite(16),
-            CostRatio::finite(32), CostRatio::makeInfinite(),
-        };
-        grid.hafs = {0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4,
-                     0.5, 0.6,  0.7,  0.8, 0.9, 1.0};
-        return grid;
+
+    for (std::size_t p = 0; p < panes.size(); ++p) {
+        const Pane &pane = panes[p];
+        TextTable table(titles[p]);
+        Labels header;
+        for (const RowKey &row : rows)
+            header.push_back(row.header);
+        header.insert(header.end(), pane.columns.begin(),
+                      pane.columns.end());
+        table.setHeader(header);
+        for (std::size_t r = 0; r < pane.rows.size(); ++r) {
+            Labels out = pane.rows[r];
+            if (r > 0 && rows.size() > 1) {
+                const Labels &above = pane.rows[r - 1];
+                if (out.front() != above.front())
+                    table.addSeparator();
+                for (std::size_t i = 0;
+                     i + 1 < out.size() && out[i] == above[i]; ++i)
+                    out[i].clear();
+            }
+            for (std::size_t c = 0; c < pane.columns.size(); ++c) {
+                const auto it = pane.values.find({r, c});
+                out.push_back(it == pane.values.end() ? "-" : it->second);
+            }
+            table.addRow(out);
+        }
+        table.print(os);
+        if (panes.size() > 1)
+            os << "\n";
     }
-    if (name == "ablation-assoc") {
-        grid.policies = {PolicyKind::Dcl};
-        grid.mappings = {CostMapping::Random, CostMapping::FirstTouch};
-        grid.assocs = {2, 4, 8};
-        return grid;
-    }
-    if (name == "ablation-cachesize") {
-        grid.policies = {PolicyKind::Dcl};
-        grid.mappings = {CostMapping::FirstTouch};
-        grid.l2Sizes = {4 * 1024, 8 * 1024, 16 * 1024, 64 * 1024,
-                        256 * 1024};
-        return grid;
-    }
-    if (name == "ablation-depreciation") {
-        grid.policies = {PolicyKind::Bcl, PolicyKind::Dcl};
-        grid.mappings = {CostMapping::FirstTouch};
-        grid.depreciations = {0.5, 1.0, 2.0, 4.0};
-        return grid;
-    }
-    if (name == "ablation-etd") {
-        grid.policies = {PolicyKind::Dcl, PolicyKind::Acl};
-        grid.mappings = {CostMapping::FirstTouch};
-        grid.aliasBits = {0, 8, 4, 2};
-        return grid;
-    }
-    if (name == "smoke") {
-        grid.benchmarks = {BenchmarkId::Lu};
-        grid.policies = {PolicyKind::Dcl};
-        grid.scale = WorkloadScale::Test;
-        return grid;
-    }
-    throw ConfigError("unknown sweep preset '" + name +
-                      "' (table1|fig3|ablation-assoc|"
-                      "ablation-cachesize|ablation-depreciation|"
-                      "ablation-etd|smoke)");
+}
+
+const std::vector<SweepPreset> &
+sweepPresets()
+{
+    const SweepView::RowKey by_benchmark = {"Benchmark", benchmarkOf};
+    static const std::vector<SweepPreset> presets = {
+        // Every paper policy on every benchmark under both mappings
+        // at the headline operating point (r=4, HAF=0.3).
+        {"headline", "mappings=random,first-touch", std::nullopt},
+        {"fig3",
+         "mappings=random;ratios=2,4,8,16,32,inf;"
+         "hafs=0,0.01,0.05,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
+         SweepView{[](const SweepCellResult &res) {
+                       return benchmarkOf(res) + " / " + policyOf(res) +
+                              " -- relative cost savings over LRU (%)";
+                   },
+                   {{"HAF",
+                     [](const SweepCellResult &res) {
+                         return TextTable::num(res.cell.haf, 2);
+                     }}},
+                   ratioOf}},
+        {"table2",
+         "policies=gd,bcl,dcl,acl;mappings=first-touch;"
+         "ratios=2,4,8,16,32,inf",
+         SweepView{[](const SweepCellResult &) {
+                       return std::string("Table 2 -- relative cost "
+                                          "savings over LRU (%)");
+                   },
+                   {by_benchmark, {"Algorithm", policyOf}},
+                   ratioOf}},
+        {"ablation-assoc",
+         "policies=dcl;mappings=random,first-touch;assocs=2,4,8",
+         SweepView{[](const SweepCellResult &res) {
+                       return policyOf(res) +
+                              " savings over LRU (%) -- " +
+                              (res.cell.mapping == CostMapping::Random
+                                   ? "random mapping, HAF=" +
+                                         TextTable::num(res.cell.haf, 1)
+                                   : std::string("first-touch mapping"));
+                   },
+                   {by_benchmark},
+                   [](const SweepCellResult &res) {
+                       return std::to_string(res.cell.l2Assoc) + "-way";
+                   }}},
+        {"ablation-cachesize",
+         "policies=dcl;mappings=first-touch;"
+         "l2=4096,8192,16384,65536,262144",
+         SweepView{[](const SweepCellResult &res) {
+                       return policyOf(res) + " savings over LRU (%)";
+                   },
+                   {by_benchmark},
+                   [](const SweepCellResult &res) {
+                       return std::to_string(res.cell.l2Bytes / 1024) +
+                              "KB";
+                   }}},
+        {"ablation-depreciation",
+         "policies=bcl,dcl;mappings=first-touch;depreciations=0.5,1,2,4",
+         SweepView{[](const SweepCellResult &res) {
+                       return policyOf(res) + " -- savings over LRU (%) "
+                                              "by depreciation factor";
+                   },
+                   {by_benchmark},
+                   [](const SweepCellResult &res) {
+                       return "x" + TextTable::num(
+                                        res.cell.depreciationFactor, 1);
+                   }}},
+        {"ablation-etd",
+         "policies=dcl,acl;mappings=first-touch;alias-bits=0,8,4,2",
+         SweepView{[](const SweepCellResult &res) {
+                       return policyOf(res) + " -- savings over LRU (%) "
+                                              "by ETD tag width";
+                   },
+                   {by_benchmark},
+                   [](const SweepCellResult &res) {
+                       return res.cell.etdAliasBits == 0
+                                  ? std::string("full")
+                                  : std::to_string(
+                                        res.cell.etdAliasBits) +
+                                        "b";
+                   }}},
+        {"smoke", "benchmarks=lu;policies=dcl;scale=test", std::nullopt},
+    };
+    return presets;
+}
+
+const SweepPreset *
+findPreset(const std::string &name)
+{
+    for (const SweepPreset &preset : sweepPresets())
+        if (preset.name == name)
+            return &preset;
+    return nullptr;
 }
 
 SweepGrid
 parseGridSpec(const std::string &spec)
 {
-    if (spec.find('=') == std::string::npos)
-        return presetGrid(spec);
+    if (spec.find('=') == std::string::npos) {
+        if (const SweepPreset *preset = findPreset(spec))
+            return parseGridSpec(preset->spec);
+        std::string names;
+        for (const SweepPreset &preset : sweepPresets())
+            names += (names.empty() ? "" : "|") + preset.name;
+        throw ConfigError("unknown sweep preset '" + spec + "' (" +
+                          names + ")");
+    }
 
     SweepGrid grid;
     for (const std::string &field : splitList(spec, ';')) {

@@ -24,6 +24,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -252,17 +254,57 @@ class SweepRunner
     unsigned jobs_;
 };
 
-/** Named grid presets mirroring the paper's tables and figures:
- *  "table1", "fig3", "ablation-assoc", "ablation-cachesize",
- *  "ablation-depreciation", "ablation-etd", "smoke". */
-SweepGrid presetGrid(const std::string &name);
+/**
+ * How a preset prints its cells as the paper's tables: one table per
+ * distinct title(), one row per distinct tuple of row keys, one column
+ * per distinct column(), each entry the cell's savings over LRU to 2
+ * decimals.  Titles, rows and columns appear in first-encounter order,
+ * which is the grid's expansion order, and a row x column pair with no
+ * cell prints "-".  With several row keys (Table 2's benchmark and
+ * algorithm), a leading label prints only where it changes, and a rule
+ * separates rows whose first label differs.
+ */
+struct SweepView
+{
+    using Key = std::string (*)(const SweepCellResult &);
+
+    struct RowKey
+    {
+        std::string header;
+        Key key;
+    };
+
+    Key title; ///< the pane key: one table per title
+    std::vector<RowKey> rows;
+    Key column;
+
+    /** Print the tables of @p cells; a multi-table view ends each
+     *  table with a blank line. */
+    void print(std::ostream &os,
+               const std::vector<SweepCellResult> &cells) const;
+};
+
+/** A named grid: a parseGridSpec key list and, for the paper's
+ *  tables and figures, the view that prints them. */
+struct SweepPreset
+{
+    std::string name;
+    std::string spec;
+    std::optional<SweepView> view;
+};
+
+/** Every named grid, in the order usage text lists them. */
+const std::vector<SweepPreset> &sweepPresets();
+
+/** The preset called @p name, or nullptr. */
+const SweepPreset *findPreset(const std::string &name);
 
 /**
  * Parse a grid specification: either a preset name, or a semicolon
  * separated "key=v1,v2,..." list with keys benchmarks, policies,
  * mappings, ratios (numbers or "inf"), hafs, l2, assocs, alias-bits,
- * depreciations, scale.  Unset keys keep SweepGrid defaults.  Throws
- * ConfigError on malformed input.
+ * depreciations, traces, scale.  Unset keys keep SweepGrid defaults.
+ * Throws ConfigError on malformed input or an unknown preset name.
  */
 SweepGrid parseGridSpec(const std::string &spec);
 

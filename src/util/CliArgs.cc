@@ -138,14 +138,9 @@ CliArgs::getUInt(const std::string &key, std::uint64_t fallback) const
 }
 
 unsigned
-CliArgs::jobs(bool env_fallback) const
+CliArgs::jobs() const
 {
-    std::string value = get("jobs", "");
-    if (value.empty() && env_fallback) {
-        const char *env = std::getenv("CSR_JOBS");
-        if (env)
-            value = env;
-    }
+    const std::string value = get("jobs", "");
     if (value.empty())
         return 0;
     char *end = nullptr;

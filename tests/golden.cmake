@@ -27,6 +27,12 @@
 #                   --resume of that journal with injection off prints
 #                   the clean run's table byte for byte (DESIGN.md
 #                   "Robustness"), and a --validate run exits 0.
+#   sweep_views     `csrsim sweep --grid <preset> --scale test` prints
+#                   the same paper tables at --jobs 1 and --jobs 4 for
+#                   each preset with a view (fig3, table2 and the four
+#                   ablations), and they equal tests/sweep_views/
+#                   <preset>.txt: the tables the retired per-figure
+#                   bench binaries printed, banner lines dropped.
 #   serve_workers   Under shard affinity the `csrserve` summary is
 #                   byte-identical for any worker count (DESIGN.md
 #                   §3.4) and any stripe count (§3.6): for lru and acl,
@@ -272,6 +278,16 @@ elseif(CASE STREQUAL "sweep_resume")
     sweep(resumed 0 --jobs 4 --checkpoint "${journal}" --resume)
     expect_same("resumed sweep table" "${clean}" "${resumed}")
     sweep(ignored 0 --jobs 4 --validate)
+elseif(CASE STREQUAL "sweep_views")
+    foreach(preset fig3 table2 ablation-assoc ablation-cachesize
+            ablation-depreciation ablation-etd)
+        set(cmd "${CSRSIM}" sweep --grid ${preset} --scale test)
+        run(jobs1 ${cmd} --jobs 1)
+        run(jobs4 ${cmd} --jobs 4)
+        file(READ "${SOURCE_DIR}/tests/sweep_views/${preset}.txt" want)
+        expect_same("${preset} --jobs 1 tables" "${want}" "${jobs1}")
+        expect_same("${preset} --jobs 4 tables" "${jobs1}" "${jobs4}")
+    endforeach()
 elseif(CASE STREQUAL "serve_workers")
     foreach(policy lru acl)
         foreach(stripes 1 4)

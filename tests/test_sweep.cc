@@ -7,6 +7,7 @@
  */
 
 #include <atomic>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -159,11 +160,96 @@ TEST(SweepGrid, ParseSpecListsAndPresets)
     EXPECT_EQ(grid.assocs.size(), 2u);
     EXPECT_EQ(grid.scale, WorkloadScale::Test);
 
-    // Presets expand to non-empty grids.
-    for (const char *name :
-         {"table1", "fig3", "ablation-assoc", "ablation-cachesize",
-          "ablation-depreciation", "ablation-etd", "smoke"})
-        EXPECT_FALSE(presetGrid(name).expand().empty()) << name;
+    // Presets expand to non-empty grids, and only listed names are
+    // presets ("table1" was renamed "headline").
+    std::vector<std::string> names;
+    for (const SweepPreset &preset : sweepPresets()) {
+        names.push_back(preset.name);
+        EXPECT_FALSE(parseGridSpec(preset.name).expand().empty())
+            << preset.name;
+    }
+    EXPECT_EQ(names,
+              (std::vector<std::string>{
+                  "headline", "fig3", "table2", "ablation-assoc",
+                  "ablation-cachesize", "ablation-depreciation",
+                  "ablation-etd", "smoke"}));
+    EXPECT_THROW(parseGridSpec("table1"), ConfigError);
+    EXPECT_EQ(findPreset("table1"), nullptr);
+}
+
+/** A result cell carrying only what the views read. */
+SweepCellResult
+viewCell(BenchmarkId benchmark, PolicyKind policy, double ratio,
+         double savings)
+{
+    SweepCellResult res;
+    res.cell.benchmark = benchmark;
+    res.cell.policy = policy;
+    res.cell.ratio = CostRatio::finite(ratio);
+    res.savingsPct = savings;
+    return res;
+}
+
+std::string
+printed(const SweepView &view, const std::vector<SweepCellResult> &cells)
+{
+    std::ostringstream os;
+    view.print(os, cells);
+    return os.str();
+}
+
+TEST(SweepView, FirstEncounterOrderAndMissingCells)
+{
+    const SweepView view{
+        [](const SweepCellResult &res) {
+            return policyKindName(res.cell.policy);
+        },
+        {{"Benchmark",
+          [](const SweepCellResult &res) {
+              return benchmarkName(res.cell.benchmark);
+          }}},
+        [](const SweepCellResult &res) { return res.cell.ratio.label(); }};
+    // LU before Barnes and r=8 before r=2, as encountered; Barnes has
+    // no r=2 cell.
+    const std::string out = printed(
+        view, {viewCell(BenchmarkId::Lu, PolicyKind::Dcl, 8, 1.0),
+               viewCell(BenchmarkId::Lu, PolicyKind::Dcl, 2, -2.5),
+               viewCell(BenchmarkId::Barnes, PolicyKind::Dcl, 8, 3.14159),
+               viewCell(BenchmarkId::Lu, PolicyKind::Acl, 2, 0.0)});
+    EXPECT_EQ(out, "== DCL ==\n"
+                   "| Benchmark |  r=8 |   r=2 |\n"
+                   "|-----------|------|-------|\n"
+                   "| LU        | 1.00 | -2.50 |\n"
+                   "| Barnes    | 3.14 |     - |\n"
+                   "\n"
+                   "== ACL ==\n"
+                   "| Benchmark |  r=2 |\n"
+                   "|-----------|------|\n"
+                   "| LU        | 0.00 |\n"
+                   "\n");
+}
+
+TEST(SweepView, GroupedRowsPrintBlanksAndRules)
+{
+    const SweepPreset *table2 = findPreset("table2");
+    ASSERT_NE(table2, nullptr);
+    ASSERT_TRUE(table2->view.has_value());
+    std::vector<SweepCellResult> cells;
+    for (BenchmarkId id : {BenchmarkId::Barnes, BenchmarkId::Lu})
+        for (PolicyKind kind : {PolicyKind::GreedyDual, PolicyKind::Acl})
+            for (double ratio : {2.0, 4.0})
+                cells.push_back(viewCell(id, kind, ratio, ratio));
+    // One table, so no trailing blank line; a rule between the
+    // benchmarks but not after the last one.
+    EXPECT_EQ(printed(*table2->view, cells),
+              "== Table 2 -- relative cost savings over LRU (%) ==\n"
+              "| Benchmark | Algorithm |  r=2 |  r=4 |\n"
+              "|-----------|-----------|------|------|\n"
+              "| Barnes    |        GD | 2.00 | 4.00 |\n"
+              "|           |       ACL | 2.00 | 4.00 |\n"
+              "|-----------|-----------|------|------|\n"
+              "| LU        |        GD | 2.00 | 4.00 |\n"
+              "|           |       ACL | 2.00 | 4.00 |\n");
 }
 
 TEST(SweepRunner, ResultsAreBitIdenticalAcrossJobCounts)

@@ -42,16 +42,19 @@
  *       timing, decode-stage busy time and job wait included, goes
  *       to stderr.
  *
- *   csrsim sweep --grid table1|fig3|ablation-*|"key=v1,v2;..." \
+ *   csrsim sweep --grid PRESET|"key=v1,v2;..." \
  *                [--jobs N] [--scale test|small|full] [--csv 0|1]
  *                [--json FILE] [--json-timing 0|1]
  *                [--checkpoint FILE [--resume]] [--retries N]
  *                [--validate]
  *       Expands a declarative policy x workload x cost grid and runs
  *       every cell in parallel on a bounded thread pool (SweepRunner).
- *       Per-cell results go to stdout in stable grid order -- they are
+ *       Results go to stdout in stable grid order -- they are
  *       bit-identical for any --jobs value -- and the timing summary
- *       goes to stderr so outputs stay diffable.  A failing cell is
+ *       goes to stderr so outputs stay diffable.  A preset with a
+ *       view (fig3, table2, the ablations; see sweepPresets()) prints
+ *       the paper's tables; other grids, and --csv 1, print one row
+ *       per cell.  A failing cell is
  *       retried (--retries) and then recorded as a failure while the
  *       rest of the grid completes; a sweep with failures prints a
  *       failure appendix and exits with code 10.  --checkpoint
@@ -391,7 +394,8 @@ runReplay(const CliArgs &args)
 int
 runSweep(const CliArgs &args)
 {
-    SweepGrid grid = parseGridSpec(args.get("grid", "table1"));
+    const std::string spec = args.get("grid", "headline");
+    SweepGrid grid = parseGridSpec(spec);
     if (args.has("scale"))
         grid.scale = parseScale(args.get("scale", "small"));
 
@@ -412,13 +416,19 @@ runSweep(const CliArgs &args)
         result = runner.run(grid, options);
     }
 
-    TextTable table = result.toTable(
-        "sweep: " + std::to_string(result.cells.size()) + "/" +
-        std::to_string(result.gridCells) + " cells");
-    if (args.getUInt("csv", 0))
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    const SweepPreset *preset = findPreset(spec);
+    const bool csv = args.getUInt("csv", 0) != 0;
+    if (preset && preset->view && !csv) {
+        preset->view->print(std::cout, result.cells);
+    } else {
+        TextTable table = result.toTable(
+            "sweep: " + std::to_string(result.cells.size()) + "/" +
+            std::to_string(result.gridCells) + " cells");
+        if (csv)
+            table.printCsv(std::cout);
+        else
+            table.print(std::cout);
+    }
     if (!result.complete())
         result.failureTable().print(std::cout);
 
@@ -476,10 +486,14 @@ usage()
            "  sweep:  --grid PRESET|\"key=v1,v2;...\" --jobs N --csv 0|1\n"
            "          --json FILE --json-timing 0|1\n"
            "          --checkpoint FILE [--resume] --retries N\n"
-           "          presets: table1 fig3 ablation-assoc\n"
-           "            ablation-cachesize ablation-depreciation\n"
-           "            ablation-etd smoke\n"
-           "          keys: benchmarks policies mappings ratios hafs\n"
+           "          presets (NAME [view]: SPEC; a view prints the\n"
+           "            paper's tables instead of one row per cell):\n";
+    for (const SweepPreset &preset : sweepPresets())
+        std::cerr << "            " << preset.name
+                  << (preset.view ? " [view]: " : ": ") << preset.spec
+                  << "\n";
+    std::cerr
+        << "          keys: benchmarks policies mappings ratios hafs\n"
            "            l2 assocs alias-bits depreciations scale\n"
            "            traces (.csrt files; replaces benchmarks;\n"
            "              random mapping only)\n"
