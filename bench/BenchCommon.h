@@ -33,20 +33,6 @@
 namespace csr::bench
 {
 
-inline const char *
-scaleName(WorkloadScale scale)
-{
-    switch (scale) {
-      case WorkloadScale::Test:
-        return "test";
-      case WorkloadScale::Small:
-        return "small";
-      case WorkloadScale::Full:
-        return "full";
-    }
-    return "?";
-}
-
 /** Build the sampled trace of a benchmark (the paper samples one
  *  slave process; we sample processor 1). */
 inline SampledTrace
@@ -61,7 +47,7 @@ inline void
 banner(const std::string &what, WorkloadScale scale)
 {
     std::cout << "### " << what << "\n"
-              << "### scale=" << scaleName(scale)
+              << "### scale=" << workloadScaleName(scale)
               << "  (--scale test|small|full)\n\n";
 }
 
@@ -95,20 +81,16 @@ benchArgs(int argc, char **argv,
     }
 }
 
-/** --scale (default small). */
+/** --scale (default small); an unknown name exits like benchArgs. */
 inline WorkloadScale
 scaleFrom(const CliArgs &args)
 {
-    const std::string name = args.get("scale", "small");
-    if (name == "test")
-        return WorkloadScale::Test;
-    if (name == "small")
-        return WorkloadScale::Small;
-    if (name == "full")
-        return WorkloadScale::Full;
-    std::cerr << "ConfigError: --scale '" << name
-              << "' must be test|small|full\n";
-    std::exit(exitcode::kConfig);
+    try {
+        return parseWorkloadScale(args.get("scale", "small"));
+    } catch (const Error &e) {
+        std::cerr << e.kind() << ": " << e.what() << "\n";
+        std::exit(e.exitCode());
+    }
 }
 
 /** --jobs (0 or absent = one per hardware thread). */

@@ -245,8 +245,12 @@ main(int argc, char **argv)
     const double min_write_scaling =
         args.getDouble("min-write-scaling", 0.0);
     unsigned striped_stripes = kStripesAuto;
+    std::vector<PolicyKind> policies;
     try {
         striped_stripes = requireStripes(args.get("stripes", "4"));
+        for (const std::string &name :
+             splitList(args.get("policies", "lru,acl")))
+            policies.push_back(requirePolicyKind(name));
     } catch (const ConfigError &err) {
         std::cerr << "ConfigError: " << err.what() << "\n";
         return exitcode::kConfig;
@@ -269,17 +273,6 @@ main(int argc, char **argv)
         return exitcode::kConfig;
     }
 
-    std::vector<PolicyKind> policies;
-    for (const std::string &name :
-         splitList(args.get("policies", "lru,acl"))) {
-        const auto kind = parsePolicyKind(name);
-        if (!kind) {
-            std::cerr << "ConfigError: unknown policy '" << name
-                      << "'\n";
-            return exitcode::kConfig;
-        }
-        policies.push_back(*kind);
-    }
     std::vector<unsigned> worker_list;
     for (const std::string &item :
          splitList(args.get("workers", "1,2,4"))) {

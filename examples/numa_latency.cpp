@@ -67,11 +67,9 @@ main(int argc, char **argv)
                   TextTable::num(lru.aggregateMissLatencyNs / 1e6, 2),
                   TextTable::num(alg.aggregateMissLatencyNs / 1e6, 2)});
     table.addRow({"reservations started", "-",
-                  TextTable::count(alg.stats.get(
-                      "policy.csl.reservation.start"))});
+                  TextTable::count(alg.policyCounters.reservationStart)});
     table.addRow({"reservation successes", "-",
-                  TextTable::count(alg.stats.get(
-                      "policy.csl.reservation.success"))});
+                  TextTable::count(alg.policyCounters.reservationSuccess)});
     table.print(std::cout);
 
     const double reduction =

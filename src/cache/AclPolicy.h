@@ -47,10 +47,7 @@ class AclPolicy : public DclPolicy
                        unsigned etd_alias_bits = 0,
                        double depreciation_factor = 2.0)
         : DclPolicy(geom, etd_alias_bits, depreciation_factor),
-          counter_(geom.numSets(), 0),
-          statWatchInsert_(stats_.counter("acl.watch.insert")),
-          statReenable_(stats_.counter("acl.reenable")),
-          statDisable_(stats_.counter("acl.disable"))
+          counter_(geom.numSets(), 0)
     {
     }
 
@@ -85,7 +82,7 @@ class AclPolicy : public DclPolicy
         for (int pos = n - 1; pos >= 1; --pos) {
             if (costOf(set, wayAt(set, pos)) < lru_cost) {
                 etd_.insert(set, tagOf(set, lru), lru_cost);
-                ++statWatchInsert_;
+                ++counters_.aclWatchInsert;
                 break;
             }
         }
@@ -111,7 +108,7 @@ class AclPolicy : public DclPolicy
             // We would have saved this miss by reserving: re-enable.
             etd_.invalidateAll(set);
             counter_[set] = kEnableValue;
-            ++statReenable_;
+            ++counters_.aclReenable;
             CSR_TRACE_INSTANT_V("policy", "acl.reenable", kEnableValue);
         }
     }
@@ -147,17 +144,13 @@ class AclPolicy : public DclPolicy
             // Mode switch: the ETD's meaning changes, drop stale
             // sacrifice records.
             etd_.invalidateAll(set);
-            ++statDisable_;
+            ++counters_.aclDisable;
             CSR_TRACE_INSTANT("policy", "acl.disable");
         }
     }
 
   private:
     std::vector<std::uint32_t> counter_;
-    // Per-miss hot-path counters, pre-resolved (StatGroup::counter).
-    std::uint64_t &statWatchInsert_;
-    std::uint64_t &statReenable_;
-    std::uint64_t &statDisable_;
 };
 
 } // namespace csr

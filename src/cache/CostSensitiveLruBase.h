@@ -47,12 +47,7 @@ class CostSensitiveLruBase : public StackPolicyBase
     CostSensitiveLruBase(const CacheGeometry &geom,
                          double depreciation_factor = 2.0)
         : StackPolicyBase(geom), depreciationFactor_(depreciation_factor),
-          acost_(geom.numSets(), 0.0), reserved_(geom.numSets(), 0),
-          statStart_(stats_.counter("csl.reservation.start")),
-          statSacrifice_(stats_.counter("csl.reservation.sacrifice")),
-          statFail_(stats_.counter("csl.reservation.fail")),
-          statSuccess_(stats_.counter("csl.reservation.success")),
-          statInvalidated_(stats_.counter("csl.reservation.invalidated"))
+          acost_(geom.numSets(), 0.0), reserved_(geom.numSets(), 0)
     {
         usesLruHook_ = true;
         usesHitHook_ = true;
@@ -97,11 +92,11 @@ class CostSensitiveLruBase : public StackPolicyBase
             if (costOf(set, way) < acost_[set]) {
                 if (!reserved_[set]) {
                     reserved_[set] = 1;
-                    ++statStart_;
+                    ++counters_.reservationStart;
                     CSR_TRACE_INSTANT_V("policy", "reservation.open",
                                         acost_[set]);
                 }
-                ++statSacrifice_;
+                ++counters_.reservationSacrifice;
                 return way;
             }
         }
@@ -109,7 +104,7 @@ class CostSensitiveLruBase : public StackPolicyBase
         // reservation, the reservation has failed.
         if (reserved_[set]) {
             reserved_[set] = 0;
-            ++statFail_;
+            ++counters_.reservationFail;
             CSR_TRACE_INSTANT("policy", "reservation.expired");
             onReservationFailed(set);
         }
@@ -149,7 +144,7 @@ class CostSensitiveLruBase : public StackPolicyBase
         // at the time of the access was stackSize(set).
         if (old_pos == stackSize(set) && reserved_[set]) {
             reserved_[set] = 0;
-            ++statSuccess_;
+            ++counters_.reservationSuccess;
             CSR_TRACE_INSTANT("policy", "reservation.success");
             onReservationSucceeded(set);
         }
@@ -163,7 +158,7 @@ class CostSensitiveLruBase : public StackPolicyBase
         // reservation without scoring it as success or failure.
         if (reserved_[set] && way == lruWay(set)) {
             reserved_[set] = 0;
-            ++statInvalidated_;
+            ++counters_.reservationInvalidated;
         }
         (void)tag;
     }
@@ -172,14 +167,6 @@ class CostSensitiveLruBase : public StackPolicyBase
     double depreciationFactor_;
     std::vector<Cost> acost_;
     std::vector<std::uint8_t> reserved_;
-    // Reservation-outcome counters fire per miss on the victim-scan
-    // hot path; resolved once here (StatGroup::counter) so each event
-    // is a plain increment, not a map walk.
-    std::uint64_t &statStart_;
-    std::uint64_t &statSacrifice_;
-    std::uint64_t &statFail_;
-    std::uint64_t &statSuccess_;
-    std::uint64_t &statInvalidated_;
 };
 
 } // namespace csr

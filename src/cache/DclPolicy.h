@@ -48,9 +48,7 @@ class DclPolicy : public CostSensitiveLruBase
         : CostSensitiveLruBase(geom, depreciation_factor),
           etd_(geom.numSets(),
                geom.assoc() > 1 ? geom.assoc() - 1 : 1,
-               etd_alias_bits),
-          statEtdInsert_(stats_.counter("dcl.etd.insert")),
-          statEtdHit_(stats_.counter("dcl.etd.hit"))
+               etd_alias_bits)
     {
         usesMissHook_ = true;
     }
@@ -69,7 +67,7 @@ class DclPolicy : public CostSensitiveLruBase
             // Remember the sacrificed block; its return will be the
             // evidence that the reservation cost a real miss.
             etd_.insert(set, tagOf(set, victim), costOf(set, victim));
-            ++statEtdInsert_;
+            ++counters_.etdInsert;
         }
         return victim;
     }
@@ -99,7 +97,7 @@ class DclPolicy : public CostSensitiveLruBase
             // charge the reservation.
             CSR_TRACE_INSTANT_V("policy", "etd.hit", *cost);
             depreciate(set, *cost);
-            ++statEtdHit_;
+            ++counters_.etdHit;
         }
     }
 
@@ -129,9 +127,6 @@ class DclPolicy : public CostSensitiveLruBase
     }
 
     ExtendedTagDirectory etd_;
-    // Per-miss hot-path counters, pre-resolved (StatGroup::counter).
-    std::uint64_t &statEtdInsert_;
-    std::uint64_t &statEtdHit_;
 };
 
 } // namespace csr

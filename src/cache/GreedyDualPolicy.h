@@ -42,8 +42,7 @@ class GreedyDualPolicy : public StackPolicyBase
     explicit GreedyDualPolicy(const CacheGeometry &geom)
         : StackPolicyBase(geom),
           credit_(static_cast<std::size_t>(geom.numSets()) * geom.assoc(),
-                  0.0),
-          statEvictions_(stats_.counter("gd.evictions"))
+                  0.0)
     {
         usesHitHook_ = true;
     }
@@ -74,7 +73,7 @@ class GreedyDualPolicy : public StackPolicyBase
             Cost &h = credit_[idx(set, way)];
             h = h > min_credit ? h - min_credit : 0.0;
         }
-        ++statEvictions_;
+        ++counters_.gdEvictions;
         return victim;
     }
 
@@ -117,8 +116,6 @@ class GreedyDualPolicy : public StackPolicyBase
 
   private:
     std::vector<Cost> credit_;
-    // Per-eviction counter, pre-resolved (StatGroup::counter).
-    std::uint64_t &statEvictions_;
 };
 
 } // namespace csr

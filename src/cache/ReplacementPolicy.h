@@ -33,13 +33,57 @@
 #include <string>
 
 #include "cache/CacheGeometry.h"
-#include "util/Stats.h"
 #include "util/Types.h"
 
 namespace csr
 {
 
 class CacheModel;
+
+/**
+ * Events of the paper's mechanisms: reservations (Figure 1), ETD
+ * inserts and hits, ACL's enable/disable automaton (Figure 2) and
+ * GD's evictions.  Each policy counts the events it has; every other
+ * field stays 0.
+ */
+struct PolicyCounters
+{
+    std::uint64_t aclDisable = 0;
+    std::uint64_t aclReenable = 0;
+    std::uint64_t aclWatchInsert = 0;
+    std::uint64_t reservationFail = 0;
+    std::uint64_t reservationInvalidated = 0;
+    std::uint64_t reservationSacrifice = 0;
+    std::uint64_t reservationStart = 0;
+    std::uint64_t reservationSuccess = 0;
+    std::uint64_t etdHit = 0;
+    std::uint64_t etdInsert = 0;
+    std::uint64_t gdEvictions = 0;
+
+    bool operator==(const PolicyCounters &) const = default;
+};
+
+/**
+ * The one list of PolicyCounters, in name order: calls
+ * @p visit(name, field...) per counter with its dotted name and that
+ * member of each object in @p o.  A new counter is one row here.
+ */
+template <typename Visit, typename... T>
+void
+forEachPolicyCounter(Visit &&visit, T &...o)
+{
+    visit("acl.disable", o.aclDisable...);
+    visit("acl.reenable", o.aclReenable...);
+    visit("acl.watch.insert", o.aclWatchInsert...);
+    visit("csl.reservation.fail", o.reservationFail...);
+    visit("csl.reservation.invalidated", o.reservationInvalidated...);
+    visit("csl.reservation.sacrifice", o.reservationSacrifice...);
+    visit("csl.reservation.start", o.reservationStart...);
+    visit("csl.reservation.success", o.reservationSuccess...);
+    visit("dcl.etd.hit", o.etdHit...);
+    visit("dcl.etd.insert", o.etdInsert...);
+    visit("gd.evictions", o.gdEvictions...);
+}
 
 /**
  * Base class of all replacement policies.
@@ -104,7 +148,8 @@ class ReplacementPolicy
         (void)cost;
     }
 
-    /** Reset all recency / reservation / ETD state. */
+    /** Reset all recency / reservation / ETD state and the
+     *  counters. */
     virtual void reset() = 0;
 
     /** --validate hook: verify internal state against the bound
@@ -114,13 +159,11 @@ class ReplacementPolicy
 
     const CacheGeometry &geometry() const { return geom_; }
 
-    /** Policy-internal event counters (reservations, ETD hits, ...). */
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    const PolicyCounters &counters() const { return counters_; }
 
   protected:
     CacheGeometry geom_;
-    StatGroup stats_;
+    PolicyCounters counters_;
     /** The owning CacheModel; set by bind(). */
     CacheModel *model_ = nullptr;
 };

@@ -131,7 +131,7 @@ StackPolicyBase::reset()
     std::fill(order_.begin(), order_.end(), kInvalidWay);
     std::fill(count_.begin(), count_.end(), 0);
     std::fill(lastLru_.begin(), lastLru_.end(), kInvalidWay);
-    stats_.reset();
+    counters_ = {};
 }
 
 void

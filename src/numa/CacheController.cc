@@ -63,7 +63,7 @@ CacheController::access(Addr byte_addr, bool write, MissDone done)
                            static_cast<std::uint32_t>(
                                LineState::Modified));
             }
-            stats_.inc("l1.hit");
+            ++counters_.l1Hit;
             return AccessOutcome::HitL1;
         }
         l2_.noteAccess(set, tag, way);
@@ -72,17 +72,17 @@ CacheController::access(Addr byte_addr, bool write, MissDone done)
                        static_cast<std::uint32_t>(LineState::Modified));
         }
         installL1(block);
-        stats_.inc("l2.hit");
+        ++counters_.l2Hit;
         return AccessOutcome::HitL2;
     }
 
     // Miss (including upgrade-miss on a Shared line).
-    stats_.inc(write ? "l2.miss.write" : "l2.miss.read");
+    ++(write ? counters_.l2MissWrite : counters_.l2MissRead);
     auto it = mshrs_.find(block);
     if (it != mshrs_.end()) {
         // Coalesce into the outstanding transaction.
         it->second.waiters.emplace_back(write, std::move(done));
-        stats_.inc("l2.mshr.coalesce");
+        ++counters_.l2MshrCoalesce;
         return AccessOutcome::Miss;
     }
 
@@ -136,9 +136,9 @@ CacheController::receive(const Message &msg)
         const int way = l2_.invalidateTag(set, tag);
         if (way != kInvalidWay) {
             invalidateL1(msg.block);
-            stats_.inc("coh.inv");
+            ++counters_.cohInv;
         } else {
-            stats_.inc("coh.inv_absent");
+            ++counters_.cohInvAbsent;
         }
         Message ack;
         ack.type = MsgType::InvAck;
@@ -160,7 +160,7 @@ CacheController::receive(const Message &msg)
         resp.requester = msg.requester;
         if (way == kInvalidWay) {
             resp.type = MsgType::FetchStale;
-            stats_.inc("coh.fetch_stale");
+            ++counters_.cohFetchStale;
         } else {
             resp.type = MsgType::FetchResp;
             resp.dirty = static_cast<LineState>(l2_.auxAt(set, way)) ==
@@ -169,11 +169,11 @@ CacheController::receive(const Message &msg)
                 l2_.setAux(set, way,
                            static_cast<std::uint32_t>(
                                LineState::Shared));
-                stats_.inc("coh.downgrade");
+                ++counters_.cohDowngrade;
             } else {
                 l2_.invalidateTag(set, tag);
                 invalidateL1(msg.block);
-                stats_.inc("coh.fetch_inv");
+                ++counters_.cohFetchInv;
             }
         }
         network_.send(resp);
@@ -198,7 +198,7 @@ CacheController::handleData(const Message &msg)
     predictor_.update(msg.block, latency);
     missLatency_.add(latency);
     missLatencyHist_.add(latency);
-    stats_.inc("l2.fill");
+    ++counters_.l2Fill;
     CSR_TRACE_INSTANT_V("numa", "l2.fill_latency_ns", latency);
 
     // Replacement cost of the block's next miss: the measured latency,
@@ -266,14 +266,14 @@ CacheController::disposeVictim(std::uint32_t set, Addr victim_tag,
 
     if (state == LineState::Modified) {
         sendToHome(MsgType::PutM, victim_block, events_.now());
-        stats_.inc("l2.writeback");
+        ++counters_.l2Writeback;
     } else if (config_.replacementHints) {
         sendToHome(state == LineState::Exclusive ? MsgType::PutE
                                                  : MsgType::PutS,
                    victim_block, events_.now());
-        stats_.inc("l2.hint");
+        ++counters_.l2Hint;
     } else {
-        stats_.inc("l2.silent_evict");
+        ++counters_.l2SilentEvict;
     }
     // Note: the policy is NOT told about evictions through
     // invalidate(); selectVictim()/fill() manage the stack, and the

@@ -28,6 +28,7 @@
 #include "numa/Event.h"
 #include "numa/Network.h"
 #include "numa/NumaConfig.h"
+#include "numa/NumaCounters.h"
 #include "util/Stats.h"
 
 namespace csr
@@ -74,7 +75,7 @@ class CacheController
     /** Outstanding MSHR count (processor back-pressure). */
     std::size_t outstandingMisses() const { return mshrs_.size(); }
 
-    const StatGroup &stats() const { return stats_; }
+    const NumaCounters &counters() const { return counters_; }
     const LatencyPredictor &predictor() const { return predictor_; }
     ReplacementPolicy &policy() { return *l2_.policy(); }
 
@@ -126,7 +127,7 @@ class CacheController
     CacheModel l2_; ///< owns the replacement policy; aux = MESI state
     LatencyPredictor predictor_;
     std::unordered_map<Addr, Mshr> mshrs_;
-    StatGroup stats_;
+    NumaCounters counters_;
     RunningStat missLatency_;
     Histogram missLatencyHist_;
 

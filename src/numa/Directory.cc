@@ -36,7 +36,7 @@ DirectoryController::receive(const Message &msg)
         const bool queued = wit != waiting_.end() && !wit->second.empty();
         if (txns_.count(msg.block) || queued) {
             waiting_[msg.block].push_back(msg);
-            stats_.inc("dir.queued");
+            ++counters_.dirQueued;
         } else {
             startTransaction(msg);
         }
@@ -71,7 +71,7 @@ DirectoryController::startTransaction(const Message &req)
     txn.stateAtArrival = dir_[req.block].state;
     auto [it, inserted] = txns_.emplace(req.block, txn);
     csr_assert(inserted, "transaction already in flight");
-    stats_.inc(req.type == MsgType::GetS ? "dir.gets" : "dir.getx");
+    ++(req.type == MsgType::GetS ? counters_.dirGetS : counters_.dirGetX);
     CSR_TRACE_INSTANT("numa", req.type == MsgType::GetS ? "dir.txn.gets"
                                                         : "dir.txn.getx");
 
@@ -137,7 +137,7 @@ DirectoryController::handleGetX(Txn &txn)
             ++invs;
         }
         txn.pendingAcks = invs;
-        stats_.inc("dir.invs", invs);
+        counters_.dirInvs += invs;
         accessMemory(block, [this, block] {
             txns_.at(block).memDone = true;
             maybeComplete(block);
@@ -177,7 +177,7 @@ DirectoryController::handleFetchDone(const Message &msg)
     if (it == txns_.end()) {
         // A FetchStale can trail a transaction that a racing PutM
         // already completed; it is harmless.
-        stats_.inc("dir.stale_fetch_resp");
+        ++counters_.dirStaleFetchResp;
         return;
     }
     Txn &txn = it->second;
@@ -220,7 +220,7 @@ DirectoryController::handlePutM(const Message &msg)
         it->second.dataFromOwner = true;
         it->second.ownerWasDirty = true;
         accessMemory(msg.block, nullptr);
-        stats_.inc("dir.putm_race");
+        ++counters_.dirPutMRace;
         return;
     }
     if (entry.state == DirEntry::State::Exclusive &&
@@ -228,9 +228,9 @@ DirectoryController::handlePutM(const Message &msg)
         accessMemory(msg.block, nullptr);
         entry.state = DirEntry::State::Uncached;
         entry.sharers.clear();
-        stats_.inc("dir.putm");
+        ++counters_.dirPutM;
     } else {
-        stats_.inc("dir.putm_stale");
+        ++counters_.dirPutMStale;
     }
 }
 
@@ -247,9 +247,9 @@ DirectoryController::handlePutS(const Message &msg)
             txns_.find(msg.block) == txns_.end()) {
             entry.state = DirEntry::State::Uncached;
         }
-        stats_.inc("dir.puts");
+        ++counters_.dirPutS;
     } else {
-        stats_.inc("dir.puts_stale");
+        ++counters_.dirPutSStale;
     }
 }
 
@@ -260,16 +260,16 @@ DirectoryController::handlePutE(const Message &msg)
     if (txns_.count(msg.block)) {
         // The in-flight Fetch will be answered with FetchStale; the
         // completion path rebuilds the entry.
-        stats_.inc("dir.pute_race");
+        ++counters_.dirPutERace;
         return;
     }
     if (entry.state == DirEntry::State::Exclusive &&
         entry.owner == msg.src) {
         entry.state = DirEntry::State::Uncached;
         entry.sharers.clear();
-        stats_.inc("dir.pute");
+        ++counters_.dirPutE;
     } else {
-        stats_.inc("dir.pute_stale");
+        ++counters_.dirPutEStale;
     }
 }
 
@@ -367,7 +367,7 @@ DirectoryController::accessMemory(Addr block, std::function<void()> cb)
     const Tick start = std::max(events_.now() + config_.dirProcessNs,
                                 bankFree_[bank]);
     bankFree_[bank] = start + config_.memAccessNs;
-    stats_.inc("dir.mem_access");
+    ++counters_.dirMemAccess;
     if (cb)
         events_.schedule(start + config_.memAccessNs, std::move(cb));
 }

@@ -28,8 +28,8 @@
 #include "numa/Event.h"
 #include "numa/Network.h"
 #include "numa/NumaConfig.h"
+#include "numa/NumaCounters.h"
 #include "numa/Protocol.h"
-#include "util/Stats.h"
 
 namespace csr
 {
@@ -110,7 +110,7 @@ class DirectoryController
         observer_ = std::move(observer);
     }
 
-    const StatGroup &stats() const { return stats_; }
+    const NumaCounters &counters() const { return counters_; }
 
     /** Directory state introspection (tests). */
     const DirEntry *entryOf(Addr block) const;
@@ -169,7 +169,7 @@ class DirectoryController
     std::unordered_map<Addr, std::deque<Message>> waiting_;
     std::vector<Tick> bankFree_;
     MissObserver observer_;
-    StatGroup stats_;
+    NumaCounters counters_;
 };
 
 } // namespace csr

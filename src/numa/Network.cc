@@ -84,11 +84,11 @@ MeshNetwork::send(const Message &msg)
     csr_assert(msg.dst < sinks_.size() && sinks_[msg.dst],
                "send to unattached node");
     const Tick now = events_.now();
-    stats_.inc("net.messages");
+    ++counters_.netMessages;
 
     if (msg.src == msg.dst) {
         // Intra-node: local bus only.
-        stats_.inc("net.local");
+        ++counters_.netLocal;
         events_.schedule(now + config_.localBusNs,
                          [this, msg] { sinks_[msg.dst](msg); });
         return;
@@ -98,7 +98,7 @@ MeshNetwork::send(const Message &msg)
     const std::uint32_t flits =
         data ? config_.dataFlits : config_.ctrlFlits;
     const Tick occupancy = Tick{flits} * config_.flitNs;
-    stats_.inc("net.flits", flits);
+    counters_.netFlits += flits;
 
     // Head-flit progression with per-link availability.
     Tick head = now + config_.nicNs;
@@ -109,7 +109,7 @@ MeshNetwork::send(const Message &msg)
         const Tick start = std::max(head, free_at);
         const Tick queued = start - head;
         if (queued > 0)
-            stats_.inc("net.queue_ns", queued);
+            counters_.netQueueNs += queued;
         free_at = start + occupancy;
         head = start + config_.routerNs + config_.flitNs;
     }
@@ -117,7 +117,7 @@ MeshNetwork::send(const Message &msg)
     const Tick arrival =
         head + Tick{flits - 1} * config_.flitNs + config_.nicNs;
 
-    stats_.inc("net.hop_total", hops(msg.src, msg.dst));
+    counters_.netHopTotal += hops(msg.src, msg.dst);
     CSR_TRACE_INSTANT_V("numa", "net.msg_latency_ns", arrival - now);
     events_.schedule(arrival, [this, msg] { sinks_[msg.dst](msg); });
 }

@@ -19,8 +19,8 @@
 
 #include "numa/Event.h"
 #include "numa/NumaConfig.h"
+#include "numa/NumaCounters.h"
 #include "numa/Protocol.h"
-#include "util/Stats.h"
 
 namespace csr
 {
@@ -59,7 +59,7 @@ class MeshNetwork
         return n;
     }
 
-    const StatGroup &stats() const { return stats_; }
+    const NumaCounters &counters() const { return counters_; }
 
   private:
     std::uint32_t colOf(ProcId id) const { return id % config_.meshCols; }
@@ -76,7 +76,7 @@ class MeshNetwork
     std::vector<Deliver> sinks_;
     /** busy-until per directed link (4 directions per node). */
     std::vector<Tick> linkFree_;
-    StatGroup stats_;
+    NumaCounters counters_;
 };
 
 } // namespace csr

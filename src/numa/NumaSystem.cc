@@ -133,6 +133,8 @@ NumaSystem::run()
 
     NumaResult result;
     result.policyName = caches_.front()->policy().name();
+    const auto sum = [](const char *, std::uint64_t &total,
+                        std::uint64_t part) { total += part; };
     for (auto &proc : procs_) {
         if (!proc->done()) {
             // The queue drained with work unfinished: a lost message
@@ -144,8 +146,7 @@ NumaSystem::run()
         result.execTimeNs = std::max(result.execTimeNs,
                                      proc->finishTime());
         result.totalOps += proc->opsIssued();
-        for (const auto &[k, v] : proc->stats().all())
-            result.stats.inc("proc." + k, v);
+        forEachNumaCounter(sum, result.counters, proc->counters());
     }
     for (auto &cache : caches_) {
         const RunningStat &lat = cache->missLatencyStat();
@@ -153,17 +154,13 @@ NumaSystem::run()
         result.aggregateMissLatencyNs += lat.sum();
         result.missLatencyStat.merge(lat);
         result.missLatencyHist.merge(cache->missLatencyHistogram());
-        for (const auto &[k, v] : cache->stats().all())
-            result.stats.inc("cache." + k, v);
-        for (const auto &[k, v] : cache->policy().stats().all())
-            result.stats.inc("policy." + k, v);
+        forEachNumaCounter(sum, result.counters, cache->counters());
+        forEachPolicyCounter(sum, result.policyCounters,
+                             cache->policy().counters());
     }
-    for (auto &dir : dirs_) {
-        for (const auto &[k, v] : dir->stats().all())
-            result.stats.inc(k, v);
-    }
-    for (const auto &[k, v] : network_->stats().all())
-        result.stats.inc(k, v);
+    for (auto &dir : dirs_)
+        forEachNumaCounter(sum, result.counters, dir->counters());
+    forEachNumaCounter(sum, result.counters, network_->counters());
     result.avgMissLatencyNs =
         result.totalMisses
             ? result.aggregateMissLatencyNs /
@@ -177,7 +174,16 @@ NumaSystem::run()
 void
 NumaResult::exportMetrics(MetricRegistry &registry) const
 {
-    registry.importCounters(stats, "numa.");
+    forEachNumaCounter(
+        [&registry](const char *name, std::uint64_t value) {
+            registry.setCounter(std::string("numa.") + name, value);
+        },
+        counters);
+    forEachPolicyCounter(
+        [&registry](const char *name, std::uint64_t value) {
+            registry.setCounter(std::string("numa.policy.") + name, value);
+        },
+        policyCounters);
     registry.setCounter("numa.exec_time_ns", execTimeNs);
     registry.setCounter("numa.total_ops", totalOps);
     registry.setCounter("numa.total_misses", totalMisses);

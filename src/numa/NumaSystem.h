@@ -34,14 +34,16 @@ struct NumaResult
     std::uint64_t totalMisses = 0;
     double avgMissLatencyNs = 0.0;
     double aggregateMissLatencyNs = 0.0;
-    StatGroup stats;              ///< merged component counters
+    NumaCounters counters;        ///< every component's, summed
+    PolicyCounters policyCounters; ///< every L2 policy's, summed
     /** Miss-latency accumulator merged across nodes (ns). */
     RunningStat missLatencyStat;
     /** Miss-latency distribution merged across nodes (ns). */
     Histogram missLatencyHist;
 
     /** Dump everything into the unified metric schema under
-     *  "numa.": counters, the miss-latency stat and its histogram. */
+     *  "numa.": every counter (zeros included; the policy's under
+     *  "numa.policy."), the miss-latency stat and its histogram. */
     void exportMetrics(MetricRegistry &registry) const;
 };
 

@@ -57,7 +57,7 @@ Processor::advance()
 
         if (stalled()) {
             sleeping_ = true;
-            stats_.inc("proc.stall");
+            ++counters_.procStall;
             return; // resumed by onMissDone()
         }
 
@@ -84,17 +84,17 @@ Processor::advance()
         switch (outcome) {
           case AccessOutcome::HitL1:
             localTime_ += config_.cycles(config_.l1HitCycles);
-            stats_.inc("proc.l1hit");
+            ++counters_.procL1Hit;
             break;
           case AccessOutcome::HitL2:
             localTime_ += config_.cycles(config_.l2HitCycles);
-            stats_.inc("proc.l2hit");
+            ++counters_.procL2Hit;
             break;
           case AccessOutcome::Miss:
             outstanding_.push_back(index);
             if (op_.write)
                 outstandingWrites_.push_back(index);
-            stats_.inc("proc.miss");
+            ++counters_.procMiss;
             break;
         }
     }

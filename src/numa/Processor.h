@@ -23,8 +23,8 @@
 #include "numa/CacheController.h"
 #include "numa/Event.h"
 #include "numa/NumaConfig.h"
+#include "numa/NumaCounters.h"
 #include "trace/Workload.h"
-#include "util/Stats.h"
 
 namespace csr
 {
@@ -48,7 +48,7 @@ class Processor
 
     std::uint64_t opsIssued() const { return opIndex_; }
 
-    const StatGroup &stats() const { return stats_; }
+    const NumaCounters &counters() const { return counters_; }
 
   private:
     /** Issue ops until a stall condition or the end of the stream. */
@@ -76,7 +76,7 @@ class Processor
     std::deque<std::uint64_t> outstanding_; // op indices, oldest first
     std::deque<std::uint64_t> outstandingWrites_;
     Tick finishTime_ = 0;
-    StatGroup stats_;
+    NumaCounters counters_;
 };
 
 } // namespace csr

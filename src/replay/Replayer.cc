@@ -437,7 +437,8 @@ replayTrace(const ReplayConfig &config)
     for (unsigned j = 0; j < jobs; ++j) {
         result.waitSec += wait_sec[j];
         forEachReplayCounter(
-            [](const char *, std::uint64_t &sum, std::uint64_t part) {
+            [](const char *, const char *, std::uint64_t &sum,
+               std::uint64_t part) {
                 sum += part;
             },
             result.totals, totals[j]);
@@ -500,7 +501,7 @@ ReplayResult::writeJsonObject(std::ostream &os,
        << in << "\"deterministic\": {\n";
     const char *sep = "";
     forEachReplayCounter(
-        [&](const char *key, const auto &v) {
+        [&](const char *key, const char *, const auto &v) {
             os << sep << in2 << '"' << key
                << "\": " << TextTable::numFull(v);
             sep = ",\n";

@@ -124,25 +124,26 @@ struct ReplayTotals
 };
 
 /** The one list of ReplayTotals counters, in --json order: calls
- *  @p visit(key, field...) per counter with its JSON name and that
- *  member of each object in @p o.  hitRatio does not sum, so only a
+ *  @p visit(key, metric, field...) per counter with its JSON name,
+ *  its --metrics name (nullptr: not exported there) and that member
+ *  of each object in @p o.  hitRatio does not sum, so only a
  *  one-object walk visits it (as a temporary). */
 template <typename Visit, typename... T>
 void
 forEachReplayCounter(Visit &&visit, T &...o)
 {
-    visit("ops", o.ops...);
-    visit("gets", o.gets...);
-    visit("sets", o.sets...);
-    visit("dels", o.dels...);
-    visit("hits", o.hits...);
-    visit("misses", o.misses...);
+    visit("ops", "replay.ops", o.ops...);
+    visit("gets", "replay.gets", o.gets...);
+    visit("sets", "replay.sets", o.sets...);
+    visit("dels", "replay.dels", o.dels...);
+    visit("hits", "replay.hits", o.hits...);
+    visit("misses", "replay.misses", o.misses...);
     if constexpr (sizeof...(T) == 1)
-        visit("hitRatio", o.hitRatio()...);
-    visit("setHits", o.setHits...);
-    visit("evictions", o.evictions...);
-    visit("missCostNs", o.missCostNs...);
-    visit("storeCostNs", o.storeCostNs...);
+        visit("hitRatio", nullptr, o.hitRatio()...);
+    visit("setHits", "replay.set_hits", o.setHits...);
+    visit("evictions", "replay.evictions", o.evictions...);
+    visit("missCostNs", "replay.miss_cost_ns", o.missCostNs...);
+    visit("storeCostNs", "replay.store_cost_ns", o.storeCostNs...);
 }
 
 /** Everything one replay run produced. */

@@ -11,54 +11,6 @@
 namespace csr
 {
 
-namespace
-{
-
-/** Append c as a \u00XX escape. */
-void
-appendUnicodeEscape(std::string &out, unsigned char c)
-{
-    static const char hex[] = "0123456789abcdef";
-    out += "\\u00";
-    out += hex[(c >> 4) & 0xF];
-    out += hex[c & 0xF];
-}
-
-} // namespace
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20)
-                appendUnicodeEscape(out, c);
-            else
-                out += ch;
-        }
-    }
-    return out;
-}
-
 std::string
 jsonDoubleBits(double v)
 {

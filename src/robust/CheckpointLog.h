@@ -34,9 +34,6 @@
 namespace csr
 {
 
-/** JSON string escaping ("\"", "\\", control characters). */
-std::string jsonEscape(const std::string &s);
-
 /** Bit-exact double encoding: 16 hex digits of the IEEE-754 image. */
 std::string jsonDoubleBits(double v);
 

@@ -117,12 +117,7 @@ ServeConfig
 ServeConfig::fromArgs(const CliArgs &args)
 {
     ServeConfig config;
-    const std::string policy_name = args.get("policy", "acl");
-    if (auto kind = parsePolicyKind(policy_name))
-        config.policy = *kind;
-    else
-        throw ConfigError("unknown policy '" + policy_name +
-                          "' (valid: " + policyNamesJoined(" ") + ")");
+    config.policy = requirePolicyKind(args.get("policy", "acl"));
     config.shards =
         static_cast<unsigned>(args.getUInt("shards", config.shards));
     config.shardBytes = args.getUInt("shard-bytes", config.shardBytes);

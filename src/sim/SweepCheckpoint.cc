@@ -1,6 +1,7 @@
 #include "sim/SweepCheckpoint.h"
 
 #include "robust/CheckpointLog.h"
+#include "util/Json.h"
 #include "util/Random.h"
 
 namespace csr

@@ -17,6 +17,7 @@
 #include "robust/FaultInjector.h"
 #include "sim/SweepCheckpoint.h"
 #include "telemetry/Telemetry.h"
+#include "util/Json.h"
 #include "util/Logging.h"
 #include "util/Random.h"
 #include "util/ThreadPool.h"
@@ -87,19 +88,6 @@ parseUIntFor(const std::string &key, const std::string &v)
         throw ConfigError("grid key '" + key + "': '" + v +
                           "' is not an unsigned integer");
     return parsed;
-}
-
-WorkloadScale
-parseScaleName(const std::string &name)
-{
-    const std::string s = lowered(name);
-    if (s == "test")
-        return WorkloadScale::Test;
-    if (s == "small")
-        return WorkloadScale::Small;
-    if (s == "full")
-        return WorkloadScale::Full;
-    throw ConfigError("unknown scale '" + name + "' (test|small|full)");
 }
 
 /** (workload source, l2Bytes, assoc): what a TraceStudy is keyed by.
@@ -233,6 +221,16 @@ SweepCell::hash() const
     h = mixInto(h, etdAliasBits);
     h = mixDouble(h, depreciationFactor);
     return h;
+}
+
+std::unique_ptr<const CostModel>
+makeCellCostModel(const SweepCell &cell, const SampledTrace &trace)
+{
+    if (cell.mapping == CostMapping::Random)
+        return std::make_unique<const RandomTwoCost>(cell.ratio, cell.haf,
+                                                     cell.mappingHash());
+    return std::make_unique<const FirstTouchTwoCost>(
+        cell.ratio, trace.homeOf, trace.sampledProc);
 }
 
 std::string
@@ -601,7 +599,6 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
     // The guard around each attempt is what keeps one bad cell from
     // taking the grid down: typed failures are recorded, retried up
     // to maxAttempts, and finally journaled as CellFailures.
-    ParallelTiming timing;
     parallelFor(pool, cells.size(), [&](std::size_t i) {
         Slot &slot = slots[i];
         if (slot.outcome != Outcome::Pending)
@@ -636,18 +633,11 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
                 params.depreciationFactor = cell.depreciationFactor;
                 params.seed = seed;
 
-                const RandomTwoCost random(cell.ratio, cell.haf,
-                                           cell.mappingHash());
-                const FirstTouchTwoCost first_touch(
-                    cell.ratio, trace.homeOf, trace.sampledProc);
-                const CostModel &model =
-                    cell.mapping == CostMapping::Random
-                        ? static_cast<const CostModel &>(random)
-                        : static_cast<const CostModel &>(first_touch);
+                const auto model = makeCellCostModel(cell, trace);
 
                 const TraceSimResult sim =
-                    study.run(cell.policy, model, params);
-                const double lru_cost = study.lruCost(model);
+                    study.run(cell.policy, *model, params);
+                const double lru_cost = study.lruCost(*model);
 
                 SweepCellResult &out = slot.result;
                 out.cell = cell;
@@ -685,7 +675,6 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
 
         if (slot.outcome == Outcome::Ok) {
             slot.result.taskSec = task_timer.elapsedSec();
-            timing.recordTask(slot.result.taskSec);
             if (journal.isOpen())
                 journal.appendLine(checkpointCellLine(slot.result));
         } else if (journal.isOpen()) {
@@ -694,17 +683,19 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
     });
 
     // Compact the slots into grid order: successes first-class,
-    // failures as the appendix.
+    // failures as the appendix.  Restored cells carry taskSec 0.
     for (Slot &slot : slots) {
-        if (slot.outcome == Outcome::Ok)
+        if (slot.outcome == Outcome::Ok) {
+            result.taskSecTotal += slot.result.taskSec;
+            result.taskSecMax =
+                std::max(result.taskSecMax, slot.result.taskSec);
             result.cells.push_back(std::move(slot.result));
-        else
+        } else {
             result.failures.push_back(std::move(slot.failure));
+        }
     }
 
     result.wallSec = total.elapsedSec();
-    result.taskSecTotal = timing.taskSecTotal();
-    result.taskSecMax = timing.taskSecMax();
     return result;
 }
 
@@ -979,7 +970,7 @@ parseGridSpec(const std::string &spec)
             for (const auto &v : values)
                 grid.traceFiles.push_back(v);
         } else if (key == "scale") {
-            grid.scale = parseScaleName(values.front());
+            grid.scale = parseWorkloadScale(values.front());
         } else {
             throw ConfigError("unknown grid key '" + key + "'");
         }

@@ -95,6 +95,15 @@ struct SweepCell
 };
 
 /**
+ * The cost model of @p cell over @p trace: RandomTwoCost seeded with
+ * cell.mappingHash(), or FirstTouchTwoCost from the trace's homes.
+ * `csrsim trace` builds its model here too, so it prints the sweep
+ * cell's numbers.
+ */
+std::unique_ptr<const CostModel> makeCellCostModel(const SweepCell &cell,
+                                                   const SampledTrace &trace);
+
+/**
  * Declarative cross product of sweep dimensions.  expand() emits the
  * cells in a stable nested-loop order (benchmark outermost,
  * depreciation innermost); FirstTouch mappings ignore the HAF axis,

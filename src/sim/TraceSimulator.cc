@@ -55,7 +55,7 @@ TraceSimulator::run(const std::vector<TraceRecord> &records,
     }
     if (config_.validateEveryRefs != 0)
         checkInvariants();
-    result_.policyStats = l2_.policy()->stats();
+    result_.policyCounters = l2_.policy()->counters();
     return result_;
 }
 
@@ -154,7 +154,11 @@ TraceSimulator::handleSampledAccess(Addr addr)
 void
 TraceSimResult::exportMetrics(MetricRegistry &registry) const
 {
-    registry.importCounters(policyStats, "trace.policy.");
+    forEachPolicyCounter(
+        [&registry](const char *name, std::uint64_t value) {
+            registry.setCounter(std::string("trace.policy.") + name, value);
+        },
+        policyCounters);
     registry.setCounter("trace.sampled_refs", sampledRefs);
     registry.setCounter("trace.l1_hits", l1Hits);
     registry.setCounter("trace.l2_hits", l2Hits);

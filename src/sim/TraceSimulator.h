@@ -63,7 +63,7 @@ struct TraceSimResult
     std::uint64_t highCostMisses = 0; ///< misses costing > the minimum seen
     std::uint64_t invalidationsReceived = 0;
     double aggregateCost = 0.0;
-    StatGroup policyStats;
+    PolicyCounters policyCounters;
     /** Per-block miss counts (only when collectMissProfile is set). */
     std::unordered_map<Addr, std::uint64_t> missProfile;
 
@@ -78,7 +78,8 @@ struct TraceSimResult
     }
 
     /** Dump everything into the unified metric schema under
-     *  "trace." (policy counters under "trace.policy."). */
+     *  "trace." (all policy counters, zeros included, under
+     *  "trace.policy."). */
     void exportMetrics(MetricRegistry &registry) const;
 };
 

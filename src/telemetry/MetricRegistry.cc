@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "util/Json.h"
 #include "util/Logging.h"
 
 namespace csr
@@ -49,14 +50,6 @@ MetricRegistry::recordTimerSec(std::string_view name, double seconds)
     if (it == timers_.end() || it->first != name)
         it = timers_.emplace_hint(it, std::string(name), RunningStat());
     it->second.add(seconds);
-}
-
-void
-MetricRegistry::importCounters(const StatGroup &group,
-                               const std::string &prefix)
-{
-    for (const auto &[name, value] : group.all())
-        incCounter(prefix + name, value);
 }
 
 void
@@ -163,35 +156,6 @@ MetricRegistry::toTable(const std::string &title) const
 namespace
 {
 
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (const char raw : s) {
-        const unsigned char c = static_cast<unsigned char>(raw);
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << raw;
-            }
-        }
-    }
-    os << '"';
-}
-
 std::string
 numStr(double v)
 {
@@ -209,7 +173,7 @@ writeStatMap(
     for (const auto &[name, value] : stats) {
         os << (first ? "\n    " : ",\n    ");
         first = false;
-        writeJsonString(os, name);
+        os << '"' << jsonEscape(name) << '"';
         os << ": {\"count\": " << value.count()
            << ", \"mean\": " << numStr(value.mean())
            << ", \"stddev\": " << numStr(value.stddev())
@@ -231,7 +195,7 @@ MetricRegistry::writeJson(std::ostream &os) const
     for (const auto &[name, value] : counters_) {
         os << (first ? "\n    " : ",\n    ");
         first = false;
-        writeJsonString(os, name);
+        os << '"' << jsonEscape(name) << '"';
         os << ": " << value;
     }
     if (!counters_.empty())
@@ -245,7 +209,7 @@ MetricRegistry::writeJson(std::ostream &os) const
     for (const auto &[name, value] : histograms_) {
         os << (first ? "\n    " : ",\n    ");
         first = false;
-        writeJsonString(os, name);
+        os << '"' << jsonEscape(name) << '"';
         os << ": {\"count\": " << value.totalCount()
            << ", \"p50\": " << numStr(value.percentile(0.50))
            << ", \"p90\": " << numStr(value.percentile(0.90))

@@ -3,13 +3,11 @@
  * Unified metric registry: counters, distributions, timers and
  * histograms behind one name space and one dump schema.
  *
- * Before this layer, every component exported its own ad-hoc shape:
- * StatGroup counter maps, loose RunningStats (miss latency), loose
- * Histograms, and per-bench JSON writers.  The registry gives them
- * one sink: components (or their result structs) export into a
- * MetricRegistry, and every consumer -- csrsim --metrics, the bench
- * JSON emitters, tests -- reads one schema, as a text table or as
- * JSON:
+ * Components (or their result structs) export into a MetricRegistry
+ * -- counter structs through their forEach*Counter lists, plus
+ * RunningStats and Histograms -- and every consumer (csrsim
+ * --metrics, the bench JSON emitters, tests) reads one schema, as a
+ * text table or as JSON:
  *
  *   {
  *     "counters":   { "name": 123, ... },
@@ -62,9 +60,6 @@ class MetricRegistry
 
     // --- merging ----------------------------------------------------------
 
-    /** Import every counter of @p group as "<prefix><name>". */
-    void importCounters(const StatGroup &group,
-                        const std::string &prefix = "");
     /** Merge @p other into the named stat. */
     void mergeStat(std::string_view name, const RunningStat &other);
     /** Merge @p other into the named histogram (created as a copy if

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "telemetry/MetricRegistry.h"
+#include "util/Json.h"
 #include "util/Logging.h"
 
 namespace csr::telemetry
@@ -176,44 +177,6 @@ Tracer::snapshot() const
     return out;
 }
 
-namespace
-{
-
-/** JSON string escaping (names are controlled, but stay safe). */
-void
-writeJsonString(std::ostream &os, const char *s)
-{
-    os << '"';
-    for (; *s; ++s) {
-        const unsigned char c = static_cast<unsigned char>(*s);
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << static_cast<char>(c);
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 void
 Tracer::writeChromeTrace(std::ostream &os) const
 {
@@ -222,9 +185,9 @@ Tracer::writeChromeTrace(std::ostream &os) const
     for (std::size_t i = 0; i < events.size(); ++i) {
         const TraceEvent &event = events[i];
         os << "{\"name\":";
-        writeJsonString(os, event.name);
+        os << '"' << jsonEscape(event.name) << '"';
         os << ",\"cat\":";
-        writeJsonString(os, event.cat);
+        os << '"' << jsonEscape(event.cat) << '"';
         os << ",\"ph\":\"" << event.phase << "\"";
         // Chrome's ts unit is microseconds; keep ns precision.
         char ts[32];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "robust/Errors.h"
 #include "trace/BarnesWorkload.h"
 #include "trace/LuWorkload.h"
 #include "trace/OceanWorkload.h"
@@ -40,12 +41,24 @@ benchmarkName(BenchmarkId id)
     return "?";
 }
 
-BenchmarkId
-parseBenchmark(const std::string &name)
+namespace
+{
+
+std::string
+lowered(const std::string &name)
 {
     std::string lower = name;
     std::transform(lower.begin(), lower.end(), lower.begin(),
                    [](unsigned char c) { return std::tolower(c); });
+    return lower;
+}
+
+} // namespace
+
+BenchmarkId
+parseBenchmark(const std::string &name)
+{
+    const std::string lower = lowered(name);
     if (lower == "barnes")
         return BenchmarkId::Barnes;
     if (lower == "lu")
@@ -55,6 +68,32 @@ parseBenchmark(const std::string &name)
     if (lower == "raytrace")
         return BenchmarkId::Raytrace;
     csr_fatal("unknown benchmark '%s'", name.c_str());
+}
+
+const char *
+workloadScaleName(WorkloadScale scale)
+{
+    switch (scale) {
+      case WorkloadScale::Test:
+        return "test";
+      case WorkloadScale::Small:
+        return "small";
+      case WorkloadScale::Full:
+        return "full";
+    }
+    return "?";
+}
+
+WorkloadScale
+parseWorkloadScale(const std::string &name)
+{
+    const std::string lower = lowered(name);
+    for (const WorkloadScale scale :
+         {WorkloadScale::Test, WorkloadScale::Small, WorkloadScale::Full})
+        if (lower == workloadScaleName(scale))
+            return scale;
+    throw ConfigError("unknown scale '" + name +
+                      "' (valid: test small full)");
 }
 
 namespace

@@ -34,6 +34,13 @@ std::string benchmarkName(BenchmarkId id);
 /** Parse a benchmark name (case-insensitive); fatal on unknown. */
 BenchmarkId parseBenchmark(const std::string &name);
 
+/** "test", "small" or "full". */
+const char *workloadScaleName(WorkloadScale scale);
+
+/** Parse a scale name (case-insensitive); throws ConfigError naming
+ *  the valid values on unknown names. */
+WorkloadScale parseWorkloadScale(const std::string &name);
+
 /**
  * Build a benchmark from the unified config: config.name selects the
  * benchmark (fatal on unknown), config.scale / config.numaSized pick

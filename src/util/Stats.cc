@@ -128,105 +128,4 @@ Histogram::percentile(double frac) const
     return lo + (width - 1.0) / 2.0;
 }
 
-void
-ParallelTiming::recordTask(double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.add(seconds);
-}
-
-void
-ParallelTiming::setWallSec(double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    wallSec_ = seconds;
-}
-
-std::uint64_t
-ParallelTiming::taskCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.count();
-}
-
-double
-ParallelTiming::taskSecTotal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.sum();
-}
-
-double
-ParallelTiming::taskSecMean() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.mean();
-}
-
-double
-ParallelTiming::taskSecMax() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.max();
-}
-
-double
-ParallelTiming::wallSec() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return wallSec_;
-}
-
-double
-ParallelTiming::speedup() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return wallSec_ > 0.0 ? tasks_.sum() / wallSec_ : 0.0;
-}
-
-double
-ParallelTiming::tasksPerSec() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return wallSec_ > 0.0
-               ? static_cast<double>(tasks_.count()) / wallSec_
-               : 0.0;
-}
-
-void
-StatGroup::inc(std::string_view name, std::uint64_t by)
-{
-    auto it = counters_.lower_bound(name);
-    if (it != counters_.end() && it->first == name) {
-        it->second += by;
-        return;
-    }
-    counters_.emplace_hint(it, std::string(name), by);
-}
-
-std::uint64_t &
-StatGroup::counter(std::string_view name)
-{
-    auto it = counters_.lower_bound(name);
-    if (it == counters_.end() || it->first != name)
-        it = counters_.emplace_hint(it, std::string(name), 0);
-    return it->second;
-}
-
-std::uint64_t
-StatGroup::get(std::string_view name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, value] : counters_) {
-        (void)name;
-        value = 0;
-    }
-}
-
 } // namespace csr

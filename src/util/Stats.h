@@ -3,9 +3,9 @@
  * Lightweight statistics accumulators.
  *
  * The simulators accumulate large numbers of per-event samples (miss
- * latencies, reservation outcomes, per-set activity).  These helpers
- * provide numerically stable means/variances, log-linear histograms
- * and a named-counter registry that benches can dump uniformly.
+ * latencies, per-op service times).  These helpers provide
+ * numerically stable means/variances, log-linear histograms and a
+ * wall-clock stopwatch: the primitives MetricRegistry exports.
  */
 
 #ifndef CSR_UTIL_STATS_H
@@ -13,11 +13,8 @@
 
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
-#include <string_view>
 
 namespace csr
 {
@@ -87,44 +84,6 @@ class Histogram
 };
 
 /**
- * A registry of named 64-bit counters.  Components register counters
- * by dotted path ("l2.miss", "l2.reservation.success") and benches dump
- * them all at once; lookup is by map so registration order does not
- * matter.
- */
-class StatGroup
-{
-  public:
-    /** Increment (creating at zero if absent).  Heterogeneous lookup:
-     *  incrementing an existing counter never materializes a
-     *  std::string, so hot simulator paths do not allocate. */
-    void inc(std::string_view name, std::uint64_t by = 1);
-    /**
-     * Stable reference to a named counter, created at zero if
-     * absent.  std::map node addresses never move, and reset()
-     * zeroes values in place rather than erasing nodes, so the
-     * reference stays valid for the group's lifetime -- per-event
-     * hot paths (the policies' reservation bookkeeping) resolve the
-     * name once at construction and bump through the reference,
-     * instead of paying a tree walk per event.
-     */
-    std::uint64_t &counter(std::string_view name);
-    /** Read (zero if absent). */
-    std::uint64_t get(std::string_view name) const;
-    /** All counters, sorted by name. */
-    const std::map<std::string, std::uint64_t, std::less<>> &all() const
-    {
-        return counters_;
-    }
-    /** Zero every counter in place (references from counter() stay
-     *  valid; the names survive with value 0). */
-    void reset();
-
-  private:
-    std::map<std::string, std::uint64_t, std::less<>> counters_;
-};
-
-/**
  * Monotonic wall-clock stopwatch.  Starts on construction.
  */
 class WallTimer
@@ -144,38 +103,6 @@ class WallTimer
 
   private:
     std::chrono::steady_clock::time_point start_;
-};
-
-/**
- * Timing summary for a batch of parallel tasks.  Workers record the
- * wall-clock seconds of each task (thread-safe); the coordinator sets
- * the batch's total wall time once the pool has drained.  The
- * speedup() of task-seconds over wall-seconds is how the sweep engine
- * makes its parallelism observable.
- */
-class ParallelTiming
-{
-  public:
-    /** Record one finished task (safe to call from any thread). */
-    void recordTask(double seconds);
-
-    /** Set the whole batch's wall-clock duration. */
-    void setWallSec(double seconds);
-
-    std::uint64_t taskCount() const;
-    double taskSecTotal() const;
-    double taskSecMean() const;
-    double taskSecMax() const;
-    double wallSec() const;
-    /** Aggregate task time over wall time (1.0 when serial). */
-    double speedup() const;
-    /** Completed tasks per wall-clock second. */
-    double tasksPerSec() const;
-
-  private:
-    mutable std::mutex mutex_;
-    RunningStat tasks_;
-    double wallSec_ = 0.0;
 };
 
 } // namespace csr

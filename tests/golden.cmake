@@ -19,7 +19,10 @@
 #                   --save-trace F` runs the same study under
 #                   `--load-trace F` and as the sweep cell
 #                   `traces=F;policies=lru`: equal sampled refs and L2
-#                   misses, for every benchmark.
+#                   misses, for every benchmark.  `csrsim trace
+#                   --policy dcl --mapping random --ratio 4 --haf 0.3`
+#                   reports the L2 misses of the sweep cell with the
+#                   same coordinates, for every benchmark.
 #   sweep_resume    The same grid at --jobs 4, crippled by injected
 #                   faults (--fault-rate 0.3 --fault-seed 7
 #                   --retries 1) with a --checkpoint journal, exits 0
@@ -261,6 +264,20 @@ elseif(CASE STREQUAL "sweep_trace")
             string(JSON got GET "${cell}" cells 0 ${field})
             expect_same("${bench} traces= cell ${field}" "${want}" "${got}")
         endforeach()
+        # A random mapping draws the cell's costs in `csrsim trace` too.
+        run(ignored "${CSRSIM}" trace --benchmark ${bench} --policy dcl
+            --mapping random --ratio 4 --haf 0.3 --scale test
+            --metrics "${WORK_DIR}/${bench}_random.json")
+        string(CONCAT grid "benchmarks=${bench};policies=dcl;"
+            "mappings=random;ratios=4;hafs=0.3;scale=test")
+        sweep(ignored 0 --jobs 1
+            --json "${WORK_DIR}/${bench}_random_sweep.json")
+        file(READ "${WORK_DIR}/${bench}_random.json" trace)
+        file(READ "${WORK_DIR}/${bench}_random_sweep.json" cell)
+        string(JSON want GET "${trace}" counters trace.l2_misses)
+        string(JSON got GET "${cell}" cells 0 l2Misses)
+        expect_same("${bench} random-mapping cell l2Misses"
+            "${want}" "${got}")
     endforeach()
 elseif(CASE STREQUAL "sweep_resume")
     set(journal "${WORK_DIR}/ckpt.jsonl")

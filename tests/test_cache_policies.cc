@@ -236,9 +236,9 @@ TEST(Bcl, ReservationAndTwoXDepreciation)
     cache.access(blk(7));
     EXPECT_FALSE(cache.isResident(blk(1)));
     EXPECT_FALSE(bcl->isReserved(0));
-    EXPECT_EQ(bcl->stats().get("csl.reservation.start"), 1u);
-    EXPECT_EQ(bcl->stats().get("csl.reservation.sacrifice"), 2u);
-    EXPECT_EQ(bcl->stats().get("csl.reservation.fail"), 1u);
+    EXPECT_EQ(bcl->counters().reservationStart, 1u);
+    EXPECT_EQ(bcl->counters().reservationSacrifice, 2u);
+    EXPECT_EQ(bcl->counters().reservationFail, 1u);
 }
 
 TEST(Bcl, AcostReloadsWhenNewBlockEntersLruPosition)
@@ -270,7 +270,7 @@ TEST(Bcl, ReservationSuccessOnLruHit)
     EXPECT_TRUE(bcl->isReserved(0));
     EXPECT_TRUE(cache.access(blk(1))); // the bet pays off
     EXPECT_FALSE(bcl->isReserved(0));
-    EXPECT_EQ(bcl->stats().get("csl.reservation.success"), 1u);
+    EXPECT_EQ(bcl->counters().reservationSuccess, 1u);
     // Block 3 is the new LRU.
     EXPECT_DOUBLE_EQ(bcl->acostOf(0), 1.0);
 }
@@ -305,9 +305,9 @@ TEST(Bcl, InvalidationOfReservedBlockEndsReservationNeutrally)
     EXPECT_TRUE(bcl->isReserved(0));
     cache.invalidate(blk(1));
     EXPECT_FALSE(bcl->isReserved(0));
-    EXPECT_EQ(bcl->stats().get("csl.reservation.success"), 0u);
-    EXPECT_EQ(bcl->stats().get("csl.reservation.fail"), 0u);
-    EXPECT_EQ(bcl->stats().get("csl.reservation.invalidated"), 1u);
+    EXPECT_EQ(bcl->counters().reservationSuccess, 0u);
+    EXPECT_EQ(bcl->counters().reservationFail, 0u);
+    EXPECT_EQ(bcl->counters().reservationInvalidated, 1u);
 }
 
 TEST(Bcl, DepreciationFactorIsConfigurable)
@@ -432,14 +432,14 @@ TEST(Dcl, DepreciationOnlyOnEtdHit)
     cache.access(blk(2));
     EXPECT_DOUBLE_EQ(dcl->acostOf(0), 2.0);
     EXPECT_FALSE(dcl->etd().contains(0, g.tag(blk(2))));
-    EXPECT_EQ(dcl->stats().get("dcl.etd.hit"), 1u);
+    EXPECT_EQ(dcl->counters().etdHit, 1u);
 
     // Block 3 returns too: Acost is exhausted mid-access, so the
     // refill evicts the reserved LRU block (failure).  A new block
     // then occupies the LRU position and Acost reloads to its cost.
     cache.access(blk(3));
     EXPECT_FALSE(cache.isResident(blk(1)));
-    EXPECT_EQ(dcl->stats().get("csl.reservation.fail"), 1u);
+    EXPECT_EQ(dcl->counters().reservationFail, 1u);
     EXPECT_DOUBLE_EQ(dcl->acostOf(0), 1.0); // cost of the new LRU block
 }
 
@@ -456,7 +456,7 @@ TEST(Dcl, LruHitInvalidatesAllEtdEntries)
     EXPECT_EQ(dcl->etd().validCount(0), 2u);
     EXPECT_TRUE(cache.access(blk(1))); // hit on the reserved LRU block
     EXPECT_EQ(dcl->etd().validCount(0), 0u);
-    EXPECT_EQ(dcl->stats().get("csl.reservation.success"), 1u);
+    EXPECT_EQ(dcl->counters().reservationSuccess, 1u);
 }
 
 TEST(Dcl, CoherenceInvalidationScrubsEtd)
@@ -519,7 +519,7 @@ TEST(Dcl, AliasedEtdFalseMatchDepreciatesEarly)
     // Block 6 (tag 0b110) falsely matches and depreciates Acost.
     cache.access(blk(6));
     EXPECT_DOUBLE_EQ(dcl->acostOf(0), 2.0);
-    EXPECT_EQ(dcl->stats().get("dcl.etd.hit"), 1u);
+    EXPECT_EQ(dcl->counters().etdHit, 1u);
 }
 
 TEST(Dcl, NamesReflectAliasing)
@@ -564,7 +564,7 @@ TEST(Acl, EtdHitWhileDisabledReenablesWithCounterTwo)
     EXPECT_EQ(acl->counterOf(0), 2u);
     EXPECT_TRUE(acl->enabled(0));
     EXPECT_EQ(acl->etd().validCount(0), 0u);
-    EXPECT_EQ(acl->stats().get("acl.reenable"), 1u);
+    EXPECT_EQ(acl->counters().aclReenable, 1u);
 }
 
 TEST(Acl, SuccessIncrementsAndFailureDecrementsCounter)
@@ -606,7 +606,7 @@ TEST(Acl, SuccessIncrementsAndFailureDecrementsCounter)
     cache.access(blk(11));
     EXPECT_FALSE(cache.isResident(blk(1)));
     EXPECT_EQ(acl->counterOf(0), 2u);
-    EXPECT_EQ(acl->stats().get("csl.reservation.fail"), 1u);
+    EXPECT_EQ(acl->counters().reservationFail, 1u);
 }
 
 TEST(Acl, CounterSaturatesAtThree)

@@ -169,7 +169,7 @@ TEST(Directory, DirtyFetchWritesBackAndForwards)
     auto to5 = h.drain(5);
     ASSERT_EQ(to5.size(), 1u);
     EXPECT_EQ(to5[0].type, MsgType::DataS);
-    const std::uint64_t writes = h.dir_.stats().get("dir.mem_access");
+    const std::uint64_t writes = h.dir_.counters().dirMemAccess;
     EXPECT_GE(writes, 2u); // initial read + writeback at least
 }
 
@@ -197,7 +197,7 @@ TEST(Directory, PutMRaceWithFetchInvCompletesCleanly)
     // Node 3's PutM crossed the FetchInv in flight.
     h.inject(MsgType::PutM, 100, 3);
     EXPECT_TRUE(h.dir_.busy(100)); // still waiting for the stale resp
-    EXPECT_EQ(h.dir_.stats().get("dir.putm_race"), 1u);
+    EXPECT_EQ(h.dir_.counters().dirPutMRace, 1u);
     h.reply(MsgType::FetchStale, 100, 3);
     auto to5 = h.drain(5);
     ASSERT_EQ(to5.size(), 1u);
@@ -212,15 +212,15 @@ TEST(Directory, ReplacementHintsUpdateState)
     h.drain(3);
     h.inject(MsgType::PutE, 100, 3);
     EXPECT_EQ(h.dir_.entryOf(100)->state, DirEntry::State::Uncached);
-    EXPECT_EQ(h.dir_.stats().get("dir.pute"), 1u);
+    EXPECT_EQ(h.dir_.counters().dirPutE, 1u);
 
     // Stale hints are counted and ignored.
     h.inject(MsgType::PutE, 100, 5);
-    EXPECT_EQ(h.dir_.stats().get("dir.pute_stale"), 1u);
+    EXPECT_EQ(h.dir_.counters().dirPutEStale, 1u);
     h.inject(MsgType::PutS, 100, 5);
-    EXPECT_EQ(h.dir_.stats().get("dir.puts_stale"), 1u);
+    EXPECT_EQ(h.dir_.counters().dirPutSStale, 1u);
     h.inject(MsgType::PutM, 100, 5);
-    EXPECT_EQ(h.dir_.stats().get("dir.putm_stale"), 1u);
+    EXPECT_EQ(h.dir_.counters().dirPutMStale, 1u);
 }
 
 TEST(Directory, PutSRemovesSharerAndEmptiesToUncached)
@@ -248,7 +248,7 @@ TEST(Directory, BusyBlockQueuesFifoAndDrains)
     // transaction; the second queues behind it.
     h.inject(MsgType::GetX, 100, 5);
     h.inject(MsgType::GetX, 100, 7);
-    EXPECT_EQ(h.dir_.stats().get("dir.queued"), 1u);
+    EXPECT_EQ(h.dir_.counters().dirQueued, 1u);
     // 3 responds; 5 is served; the queued 7 then FetchInvs 5.
     h.reply(MsgType::FetchResp, 100, 3, true);
     auto to5 = h.drain(5);

@@ -6,6 +6,9 @@
  * correlator, and end-to-end runs on the synthetic benchmarks.
  */
 
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "numa/Event.h"
@@ -424,6 +427,36 @@ TEST(NumaEndToEnd, DeterministicExecutionTime)
     const Tick ta = a.run().execTimeNs;
     const Tick tb = b.run().execTimeNs;
     EXPECT_EQ(ta, tb);
+}
+
+TEST(NumaEndToEnd, ExportsEveryCounterUnderOneNumaPrefix)
+{
+    NumaConfig config = baseConfig();
+    config.policy = PolicyKind::Dcl;
+    auto wl = makeWorkload(BenchmarkId::Lu, WorkloadScale::Test, true);
+    NumaSystem sys(config, *wl);
+    const NumaResult res = sys.run();
+    EXPECT_GT(res.counters.procL1Hit, 0u);
+    EXPECT_GT(res.counters.dirGetS, 0u);
+    EXPECT_GT(res.counters.netMessages, 0u);
+    EXPECT_GT(res.policyCounters.reservationStart, 0u);
+
+    MetricRegistry registry;
+    res.exportMetrics(registry);
+    std::ostringstream os;
+    registry.writeJson(os);
+    const std::string json = os.str();
+    // Every counter appears, including those that never fired.
+    const auto expectRow = [&json](const std::string &prefix) {
+        return [&json, prefix](const char *name, std::uint64_t value) {
+            const std::string row = "\"" + prefix + name +
+                                    "\": " + std::to_string(value);
+            EXPECT_NE(json.find(row), std::string::npos) << row;
+        };
+    };
+    forEachNumaCounter(expectRow("numa."), res.counters);
+    forEachPolicyCounter(expectRow("numa.policy."), res.policyCounters);
+    EXPECT_EQ(json.find("numa.proc.proc."), std::string::npos);
 }
 
 class BenchmarkRuns : public ::testing::TestWithParam<BenchmarkId>

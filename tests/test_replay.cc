@@ -973,7 +973,7 @@ TEST(SweepTrace, SavedSampledTraceReloadsToTheSameStudy)
         EXPECT_EQ(a.highCostMisses, b.highCostMisses);
         EXPECT_EQ(a.invalidationsReceived, b.invalidationsReceived);
         EXPECT_EQ(a.aggregateCost, b.aggregateCost);
-        EXPECT_EQ(a.policyStats.all(), b.policyStats.all());
+        EXPECT_EQ(a.policyCounters, b.policyCounters);
     }
 }
 
@@ -1015,6 +1015,45 @@ TEST(SweepTrace, TraceCellMatchesTraceStudy)
         EXPECT_EQ(res.savingsPct,
                   relativeCostSavings(lru_cost, direct.aggregateCost))
             << res.cell.label();
+    }
+}
+
+TEST(SweepTrace, ReplayMissesEqualTheTraceStudyOfTheFile)
+{
+    // The two engines agree on a saved trace: an LRU replay at the
+    // study's L2 geometry misses on exactly the references the
+    // TraceStudy of the file (what a traces=F;policies=lru cell runs)
+    // counts as L2 misses -- its GET misses plus its SET misses.
+    TraceSimConfig sim;
+    sim.l2Bytes = 16 * 1024;
+    sim.l2Assoc = 4;
+    sim.blockBytes = 64;
+    for (const BenchmarkId id : {BenchmarkId::Barnes, BenchmarkId::Lu,
+                                 BenchmarkId::Ocean,
+                                 BenchmarkId::Raytrace}) {
+        auto wl = makeWorkload(id, WorkloadScale::Test);
+        const std::string path = tempPath(benchmarkName(id));
+        saveSampledTrace(path, buildSampledTrace(*wl, 1));
+
+        ReplayConfig config;
+        config.path = path;
+        config.cacheBytes = sim.l2Bytes;
+        config.assoc = sim.l2Assoc;
+        config.blockBytes = sim.blockBytes;
+        config.policy = PolicyKind::Lru;
+        const ReplayTotals replayed = replayTrace(config).totals;
+
+        SampledTrace file;
+        file.blockBytes = sim.blockBytes;
+        file.records =
+            loadSampledRecords(path, file.sampledProc, file.blockBytes);
+        const TraceStudy study(file, sim);
+        std::remove(path.c_str());
+
+        EXPECT_GT(replayed.misses, 0u) << benchmarkName(id);
+        EXPECT_EQ(replayed.misses + (replayed.sets - replayed.setHits),
+                  study.lruMissCount())
+            << benchmarkName(id);
     }
 }
 

@@ -30,6 +30,7 @@
 #include "sim/SweepCheckpoint.h"
 #include "sim/SweepRunner.h"
 #include "trace/WorkloadFactory.h"
+#include "util/Json.h"
 
 namespace csr
 {

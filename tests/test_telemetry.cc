@@ -293,7 +293,7 @@ TEST(Tracer, DisabledHotPathsMakeZeroRecordCalls)
         telemetry::Tracer::instance().recordCalls();
 
     // Exercise the instrumented hot paths: a full DCL trace-study run
-    // (reservations, ETD, StatGroup counters) with tracing disabled.
+    // (reservations, ETD, policy counters) with tracing disabled.
     auto workload =
         makeWorkload(BenchmarkId::Barnes, WorkloadScale::Test);
     const SampledTrace trace = buildSampledTrace(*workload, 1);
@@ -420,13 +420,45 @@ TEST(MetricRegistry, MergeCombinesEveryKind)
     EXPECT_EQ(a.histogramOf("h")->percentile(1.0), 9.0);
 }
 
-TEST(MetricRegistry, ImportCountersPrefixesStatGroup)
+TEST(MetricRegistry, LruTraceResultExportsEveryPolicyCounter)
 {
-    StatGroup group;
-    group.inc("l2.miss", 4);
+    auto workload =
+        makeWorkload(BenchmarkId::Barnes, WorkloadScale::Test);
+    const SampledTrace trace = buildSampledTrace(*workload, 1);
+    TraceSimConfig config;
+    const CacheGeometry l2(config.l2Bytes, config.l2Assoc,
+                           config.blockBytes);
+    const UniformCost cost;
+    TraceSimulator sim(config, makePolicy(PolicyKind::Lru, l2), cost);
+    const TraceSimResult res = sim.run(trace.records, trace.sampledProc);
+    EXPECT_EQ(res.policyCounters, PolicyCounters{});
+
     MetricRegistry registry;
-    registry.importCounters(group, "trace.");
-    EXPECT_EQ(registry.counter("trace.l2.miss"), 4u);
+    res.exportMetrics(registry);
+    std::ostringstream os;
+    registry.writeJson(os);
+    const std::string json = os.str();
+    int exported = 0;
+    forEachPolicyCounter(
+        [&](const char *name, std::uint64_t) {
+            const std::string row =
+                std::string("\"trace.policy.") + name + "\": 0";
+            EXPECT_NE(json.find(row), std::string::npos) << row;
+            ++exported;
+        },
+        res.policyCounters);
+    EXPECT_EQ(exported, 11);
+}
+
+TEST(MetricRegistry, JsonNamesUseTheShortEscapes)
+{
+    MetricRegistry registry;
+    registry.incCounter("a\tb\rc\"d\x01");
+    std::ostringstream os;
+    registry.writeJson(os);
+    EXPECT_NE(os.str().find("\"a\\tb\\rc\\\"d\\u0001\": 1"),
+              std::string::npos)
+        << os.str();
 }
 
 TEST(MetricRegistry, ResetEmptiesTheRegistry)
@@ -597,6 +629,15 @@ TEST(WorkloadConfig, FactoryHonoursOverrides)
     auto workload = makeWorkload(config);
     EXPECT_EQ(workload->name(), "lu");
     EXPECT_EQ(workload->numProcs(), 4u);
+}
+
+TEST(WorkloadConfig, ScaleNamesRoundTripAndUnknownThrows)
+{
+    for (const WorkloadScale scale :
+         {WorkloadScale::Test, WorkloadScale::Small, WorkloadScale::Full})
+        EXPECT_EQ(parseWorkloadScale(workloadScaleName(scale)), scale);
+    EXPECT_EQ(parseWorkloadScale("TEST"), WorkloadScale::Test);
+    EXPECT_THROW(parseWorkloadScale("huge"), ConfigError);
 }
 
 TEST(WorkloadConfig, ZeroMeansBenchmarkDefault)

@@ -338,20 +338,6 @@ TEST(Histogram, RelativeErrorBounded)
     }
 }
 
-TEST(StatGroup, IncrementAndRead)
-{
-    StatGroup g;
-    EXPECT_EQ(g.get("x"), 0u);
-    g.inc("x");
-    g.inc("x", 4);
-    g.inc("y.z");
-    EXPECT_EQ(g.get("x"), 5u);
-    EXPECT_EQ(g.get("y.z"), 1u);
-    EXPECT_EQ(g.all().size(), 2u);
-    g.reset();
-    EXPECT_EQ(g.get("x"), 0u);
-}
-
 TEST(TextTable, AlignedOutputContainsCells)
 {
     TextTable t("Demo");

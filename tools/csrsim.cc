@@ -90,7 +90,6 @@
 #include <string>
 
 #include "cache/CacheGeometry.h"
-#include "cost/StaticCostModels.h"
 #include "replay/Replayer.h"
 #include "replay/SweepTrace.h"
 #include "numa/NumaSystem.h"
@@ -113,29 +112,6 @@ namespace
 /** Invariant-check cadence installed by --validate (sampled refs for
  *  the trace study, events for the NUMA run). */
 constexpr std::uint64_t kValidateCadence = 4096;
-
-WorkloadScale
-parseScale(const std::string &name)
-{
-    if (name == "test")
-        return WorkloadScale::Test;
-    if (name == "full")
-        return WorkloadScale::Full;
-    if (name == "small")
-        return WorkloadScale::Small;
-    throw ConfigError("unknown scale '" + name +
-                      "' (valid: test small full)");
-}
-
-PolicyKind
-policyFromArgs(const CliArgs &args, const std::string &fallback)
-{
-    const std::string name = args.get("policy", fallback);
-    if (auto kind = parsePolicyKind(name))
-        return *kind;
-    throw ConfigError("unknown policy '" + name + "' (valid: " +
-                      policyNamesJoined(" ") + ")");
-}
 
 /** Probe every output path a mode may write, before it runs. */
 void
@@ -175,7 +151,7 @@ workloadConfigFromArgs(const CliArgs &args, const std::string &benchmark,
 {
     WorkloadConfig config;
     config.name = args.get("benchmark", benchmark);
-    config.scale = parseScale(args.get("scale", "small"));
+    config.scale = parseWorkloadScale(args.get("scale", "small"));
     config.numaSized = numa_sized;
     config.numProcs =
         static_cast<ProcId>(args.getUInt("procs", 0));
@@ -190,7 +166,7 @@ runTrace(const CliArgs &args)
     const WorkloadConfig wl =
         workloadConfigFromArgs(args, "barnes", /*numa_sized=*/false);
     const BenchmarkId id = parseBenchmark(wl.name);
-    const PolicyKind kind = policyFromArgs(args, "dcl");
+    const PolicyKind kind = requirePolicyKind(args.get("policy", "dcl"));
 
     auto workload = makeWorkload(wl);
     SampledTrace trace = buildSampledTrace(*workload, 1);
@@ -220,16 +196,16 @@ runTrace(const CliArgs &args)
         static_cast<unsigned>(args.getUInt("alias-bits", 0));
     params.depreciationFactor = args.getDouble("depreciation", 2.0);
 
-    const double ratio = args.getDouble("ratio", 4.0);
-    const std::string mapping = args.get("mapping", "first-touch");
-    const RandomTwoCost random(CostRatio::finite(ratio),
-                               args.getDouble("haf", 0.3));
-    const FirstTouchTwoCost first_touch(CostRatio::finite(ratio),
-                                        trace.homeOf, trace.sampledProc);
-    const CostModel &model =
-        mapping == "random"
-            ? static_cast<const CostModel &>(random)
-            : static_cast<const CostModel &>(first_touch);
+    // The sweep cell of this experiment builds the cost model, so a
+    // random mapping draws the cell's costs.
+    SweepCell cell;
+    cell.benchmark = id;
+    cell.mapping = parseCostMapping(args.get("mapping", "first-touch"));
+    cell.ratio = CostRatio::finite(args.getDouble("ratio", 4.0));
+    cell.haf = args.getDouble("haf", 0.3);
+    cell.scale = wl.scale;
+    const auto model_ptr = makeCellCostModel(cell, trace);
+    const CostModel &model = *model_ptr;
 
     TraceSimResult res;
     double lru_cost = 0.0;
@@ -256,11 +232,14 @@ runTrace(const CliArgs &args)
                       lru_cost, res.aggregateCost), 2)});
     table.print(std::cout);
 
-    if (!res.policyStats.all().empty()) {
+    if (res.policyCounters != PolicyCounters{}) {
         TextTable stats("policy counters");
         stats.setHeader({"Counter", "Value"});
-        for (const auto &[name, value] : res.policyStats.all())
-            stats.addRow({name, TextTable::count(value)});
+        forEachPolicyCounter(
+            [&stats](const char *name, std::uint64_t value) {
+                stats.addRow({name, TextTable::count(value)});
+            },
+            res.policyCounters);
         stats.print(std::cout);
     }
 
@@ -279,7 +258,7 @@ runNuma(const CliArgs &args)
     const WorkloadConfig wl =
         workloadConfigFromArgs(args, "raytrace", /*numa_sized=*/true);
     const BenchmarkId id = parseBenchmark(wl.name);
-    const PolicyKind kind = policyFromArgs(args, "dcl");
+    const PolicyKind kind = requirePolicyKind(args.get("policy", "dcl"));
 
     NumaConfig config;
     config.cycleNs = args.getUInt("clock", 500) >= 1000 ? 1 : 2;
@@ -375,13 +354,14 @@ runReplay(const CliArgs &args)
 
     if (!args.metricsPath().empty()) {
         MetricRegistry registry;
-        registry.setCounter("replay.ops", result.totals.ops);
-        registry.setCounter("replay.hits", result.totals.hits);
-        registry.setCounter("replay.misses", result.totals.misses);
-        registry.setCounter("replay.evictions",
-                            result.totals.evictions);
-        registry.setCounter("replay.miss_cost_ns",
-                            result.totals.missCostNs);
+        replay::forEachReplayCounter(
+            [&registry](const char *, const char *metric,
+                        const auto &value) {
+                if (metric)
+                    registry.setCounter(
+                        metric, static_cast<std::uint64_t>(value));
+            },
+            result.totals);
         registry.setCounter("replay.jobs", result.jobs);
         registry.recordTimerSec("replay.wall", result.wallSec);
         registry.recordTimerSec("replay.decode", result.decodeSec);
@@ -397,7 +377,7 @@ runSweep(const CliArgs &args)
     const std::string spec = args.get("grid", "headline");
     SweepGrid grid = parseGridSpec(spec);
     if (args.has("scale"))
-        grid.scale = parseScale(args.get("scale", "small"));
+        grid.scale = parseWorkloadScale(args.get("scale", "small"));
 
     SweepOptions options;
     options.maxAttempts =
