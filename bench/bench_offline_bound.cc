@@ -8,9 +8,9 @@
  * same traces as reference points for the online algorithms.  Neither
  * is a cost bound: the greedy oracle is a heuristic, and OPT ignores
  * cost.  An exact CSOPT is meant to replace both.
- * Offline policies need a policy-independent access stream, so these
- * runs disable the L1 (see TraceStudy); LRU/DCL are re-run in the
- * same L2-only configuration for a fair comparison.
+ * The oracles are TraceStudy::run's one L2-only pass over the whole
+ * trace; the study's LRU, DCL and ACL runs disable the L1 too, for a
+ * fair comparison.
  */
 
 #include <iostream>

@@ -5,7 +5,6 @@
 
 #include "cache/AclPolicy.h"
 #include "cache/BclPolicy.h"
-#include "cache/BeladyPolicy.h"
 #include "cache/DclPolicy.h"
 #include "cache/GreedyDualPolicy.h"
 #include "cache/LfuPolicy.h"
@@ -40,9 +39,12 @@ makePolicy(PolicyKind kind, const CacheGeometry &geom,
         return std::make_unique<AclPolicy>(geom, params.etdAliasBits,
                                            params.depreciationFactor);
       case PolicyKind::Opt:
-        return std::make_unique<BeladyPolicy>(geom);
       case PolicyKind::CostOpt:
-        return std::make_unique<CostAwareBeladyPolicy>(geom);
+        throw ConfigError(
+            "policy '" + policyKindName(kind) +
+            "' is an offline oracle: it needs the whole future, so only "
+            "a trace study (csrsim trace, csrsim sweep) computes it; "
+            "online policies: " + onlinePolicyNamesJoined());
     }
     csr_panic("unhandled PolicyKind %d", static_cast<int>(kind));
 }
@@ -69,7 +71,7 @@ parsePolicyKind(const std::string &name)
         return PolicyKind::Acl;
     if (lower == "opt" || lower == "belady")
         return PolicyKind::Opt;
-    if (lower == "costopt" || lower == "csopt")
+    if (lower == "costopt")
         return PolicyKind::CostOpt;
     return std::nullopt;
 }
@@ -99,6 +101,18 @@ policyNamesJoined(const std::string &sep)
     std::string out;
     for (const std::string &name : listPolicyNames())
         out += (out.empty() ? "" : sep) + name;
+    return out;
+}
+
+std::string
+onlinePolicyNamesJoined(const std::string &sep)
+{
+    std::string out;
+    for (const std::string &name : listPolicyNames()) {
+        const PolicyKind kind = *parsePolicyKind(name);
+        if (kind != PolicyKind::Opt && kind != PolicyKind::CostOpt)
+            out += (out.empty() ? "" : sep) + name;
+    }
     return out;
 }
 

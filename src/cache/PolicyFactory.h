@@ -27,8 +27,8 @@ enum class PolicyKind
     Bcl,
     Dcl,
     Acl,
-    Opt,        ///< offline Belady (miss count)
-    CostOpt,    ///< offline greedy cost-weighted oracle
+    Opt,        ///< offline Belady OPT (miss count); TraceStudy only
+    CostOpt,    ///< offline greedy cost-weighted oracle; TraceStudy only
 };
 
 /** Tunables shared by the factory. */
@@ -42,7 +42,10 @@ struct PolicyParams
     std::uint64_t seed = 0xC5CADAull;
 };
 
-/** Build a policy instance. */
+/** Build an online policy instance.  The offline oracles (Opt,
+ *  CostOpt) need the whole future, so no cache can run them: they
+ *  throw ConfigError naming the online policies, and
+ *  TraceStudy::run computes them in one pass over a trace. */
 PolicyPtr makePolicy(PolicyKind kind, const CacheGeometry &geom,
                      const PolicyParams &params = {});
 
@@ -65,20 +68,8 @@ const std::vector<std::string> &listPolicyNames();
 std::string policyNamesJoined(const std::string &sep = "|");
 
 /** The online policies only: listPolicyNames() without the offline
- *  oracles opt and costopt, which need the whole future and so cannot
- *  drive a live service or a streamed replay.  Inline: only help
- *  text, config diagnostics and tests call it. */
-inline std::string
-onlinePolicyNamesJoined(const std::string &sep = "|")
-{
-    std::string out;
-    for (const std::string &name : listPolicyNames()) {
-        const PolicyKind kind = *parsePolicyKind(name);
-        if (kind != PolicyKind::Opt && kind != PolicyKind::CostOpt)
-            out += (out.empty() ? "" : sep) + name;
-    }
-    return out;
-}
+ *  oracles opt and costopt, which makePolicy refuses. */
+std::string onlinePolicyNamesJoined(const std::string &sep = "|");
 
 /** Display name matching the paper's terminology. */
 std::string policyKindName(PolicyKind kind);

@@ -297,11 +297,6 @@ ReplayConfig::validate() const
         throw ConfigError(
             "replay needs a trace: pass --file PATH (a .csrt file "
             "written by csrtrace)");
-    if (policy == PolicyKind::Opt || policy == PolicyKind::CostOpt)
-        throw ConfigError(
-            std::string("policy '") + policyKindName(policy) +
-            "' is offline (needs the future) and cannot replay a "
-            "stream; valid: " + onlinePolicyNamesJoined(" "));
     if (defaultCostNs == 0)
         throw ConfigError("--default-cost must be >= 1 ns (it is the "
                           "miss cost of records without a hint)");

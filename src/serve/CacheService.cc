@@ -149,10 +149,6 @@ ServeConfig::validate() const
         throw ConfigError("access log capacity (" +
                           std::to_string(accessLogCapacity) +
                           ") must be a power of two >= 2");
-    if (policy == PolicyKind::Opt || policy == PolicyKind::CostOpt)
-        throw ConfigError("offline oracle policies cannot drive an "
-                          "online service (pick one of " +
-                          onlinePolicyNamesJoined(" ") + ")");
     if (stripes != kStripesAuto && !isPow2(stripes))
         throw ConfigError("stripe count (" + std::to_string(stripes) +
                           ") must be a power of two, or 0 for auto");

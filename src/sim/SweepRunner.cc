@@ -223,6 +223,19 @@ SweepCell::hash() const
     return h;
 }
 
+SweepCell
+sourceCell(BenchmarkId benchmark, const std::string &trace_file,
+           WorkloadScale scale)
+{
+    SweepCell cell;
+    if (trace_file.empty())
+        cell.benchmark = benchmark;
+    else
+        cell.traceFile = trace_file;
+    cell.scale = scale;
+    return cell;
+}
+
 std::unique_ptr<const CostModel>
 makeCellCostModel(const SweepCell &cell, const SampledTrace &trace)
 {
@@ -266,6 +279,11 @@ SweepGrid::expand() const
 
     std::vector<SweepCell> cells;
     for (std::size_t source = 0; source < num_sources; ++source) {
+        const SweepCell source_cell =
+            traceFiles.empty()
+                ? sourceCell(benchmarks[source], "", scale)
+                : sourceCell(BenchmarkId::Barnes, traceFiles[source],
+                             scale);
         for (PolicyKind policy : policies) {
             for (CostMapping mapping : mappings) {
                 const auto &mapping_hafs =
@@ -276,13 +294,7 @@ SweepGrid::expand() const
                             for (std::uint32_t assoc : assocs) {
                                 for (unsigned alias : aliasBits) {
                                     for (double depr : depreciations) {
-                                        SweepCell cell;
-                                        if (traceFiles.empty())
-                                            cell.benchmark =
-                                                benchmarks[source];
-                                        else
-                                            cell.traceFile =
-                                                traceFiles[source];
+                                        SweepCell cell = source_cell;
                                         cell.policy = policy;
                                         cell.mapping = mapping;
                                         cell.ratio = ratio;
@@ -291,7 +303,6 @@ SweepGrid::expand() const
                                         cell.l2Assoc = assoc;
                                         cell.etdAliasBits = alias;
                                         cell.depreciationFactor = depr;
-                                        cell.scale = scale;
                                         cells.push_back(cell);
                                     }
                                 }

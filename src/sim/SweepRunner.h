@@ -94,6 +94,13 @@ struct SweepCell
     std::string label() const;
 };
 
+/** A cell of the source @p trace_file if non-empty (a `traces=` cell;
+ *  @p benchmark is ignored), else @p benchmark.  SweepGrid::expand
+ *  and `csrsim trace [--load-trace]` both start here, so one source
+ *  hashes to one cost mapping. */
+SweepCell sourceCell(BenchmarkId benchmark, const std::string &trace_file,
+                     WorkloadScale scale);
+
 /**
  * The cost model of @p cell over @p trace: RandomTwoCost seeded with
  * cell.mappingHash(), or FirstTouchTwoCost from the trace's homes.

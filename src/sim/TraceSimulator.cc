@@ -9,16 +9,6 @@
 namespace csr
 {
 
-namespace
-{
-
-/** Cadence of the fault-injection probe in the replay loop: cheap
- *  enough to leave in every build, frequent enough that realistic
- *  fault rates hit mid-simulation. */
-constexpr std::uint64_t kFaultProbeEveryRefs = 4096;
-
-} // namespace
-
 TraceSimulator::TraceSimulator(const TraceSimConfig &config,
                                PolicyPtr policy,
                                const CostModel &cost_model)

@@ -28,16 +28,21 @@
 #include "cost/CostModel.h"
 #include "telemetry/MetricRegistry.h"
 #include "trace/TraceRecord.h"
-#include "util/Stats.h"
 
 namespace csr
 {
 
+/** Cadence of the fault-injection probe in the replay loops (this
+ *  simulator and TraceStudy's offline pass): cheap enough to leave in
+ *  every build, frequent enough that realistic fault rates hit
+ *  mid-simulation. */
+constexpr std::uint64_t kFaultProbeEveryRefs = 4096;
+
 /** Hierarchy configuration for the trace study (paper defaults). */
 struct TraceSimConfig
 {
-    /** Disable to expose every reference to the L2 (required when an
-     *  offline policy needs a policy-independent access stream). */
+    /** Disable to expose every reference to the L2.  TraceStudy's
+     *  offline oracles always run L2-only, whatever this says. */
     bool useL1 = true;
     std::uint64_t l1Bytes = 4 * 1024;
     std::uint64_t l2Bytes = 16 * 1024;
@@ -67,16 +72,6 @@ struct TraceSimResult
     /** Per-block miss counts (only when collectMissProfile is set). */
     std::unordered_map<Addr, std::uint64_t> missProfile;
 
-    double
-    l2MissRate() const
-    {
-        const std::uint64_t l2_accesses = l2Hits + l2Misses;
-        return l2_accesses
-                   ? static_cast<double>(l2Misses) /
-                         static_cast<double>(l2_accesses)
-                   : 0.0;
-    }
-
     /** Dump everything into the unified metric schema under
      *  "trace." (all policy counters, zeros included, under
      *  "trace.policy."). */
@@ -101,9 +96,6 @@ class TraceSimulator
      */
     TraceSimResult run(const std::vector<TraceRecord> &records,
                        ProcId sampled_proc);
-
-    /** Access to the policy (e.g. to prepare() an offline oracle). */
-    ReplacementPolicy &policy() { return *l2_.policy(); }
 
   private:
     void handleRemoteWrite(Addr addr);

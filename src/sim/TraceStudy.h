@@ -9,6 +9,11 @@
  * replays LRU once per trace and re-weights the profile for every
  * cost model, which keeps the Figure 3 sweep (hundreds of cost
  * points) tractable.
+ *
+ * The study is also the one home of the offline oracles (OPT and the
+ * greedy CostOPT~): they need the whole future, so run() computes
+ * them in one L2-only pass over the trace instead of through a
+ * ReplacementPolicy, which makePolicy refuses to build for them.
  */
 
 #ifndef CSR_SIM_TRACESTUDY_H
@@ -40,16 +45,15 @@ class TraceStudy
     /** LRU miss count (cost-model independent). */
     std::uint64_t lruMissCount() const { return lruMisses_; }
 
-    /** Full simulation of one policy under one cost model. */
+    /** Full simulation of one policy under one cost model.  The
+     *  offline kinds (Opt, CostOpt) run L2-only whatever
+     *  config().useL1 says, with 0 L1 hits and 0 policy counters. */
     TraceSimResult run(PolicyKind kind, const CostModel &model,
                        const PolicyParams &params = {}) const;
 
     /** Relative cost savings of a policy over LRU, percent. */
     double savingsPct(PolicyKind kind, const CostModel &model,
                       const PolicyParams &params = {}) const;
-
-    const SampledTrace &trace() const { return *trace_; }
-    const TraceSimConfig &config() const { return config_; }
 
   private:
     const SampledTrace *trace_;

@@ -67,7 +67,8 @@ parseBenchmark(const std::string &name)
         return BenchmarkId::Ocean;
     if (lower == "raytrace")
         return BenchmarkId::Raytrace;
-    csr_fatal("unknown benchmark '%s'", name.c_str());
+    throw ConfigError("unknown benchmark '" + name +
+                      "' (valid: barnes|lu|ocean|raytrace)");
 }
 
 const char *

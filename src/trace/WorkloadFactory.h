@@ -31,7 +31,8 @@ const std::vector<BenchmarkId> &paperBenchmarks();
 /** Display name ("Barnes", "LU", "Ocean", "Raytrace"). */
 std::string benchmarkName(BenchmarkId id);
 
-/** Parse a benchmark name (case-insensitive); fatal on unknown. */
+/** Parse a benchmark name (case-insensitive); throws ConfigError
+ *  naming the valid ones on unknown names. */
 BenchmarkId parseBenchmark(const std::string &name);
 
 /** "test", "small" or "full". */

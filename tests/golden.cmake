@@ -2,7 +2,8 @@
 # tests/CMakeLists.txt under the ctest label "golden" and run as
 #
 #   cmake -DCASE=<case> -DCSRSIM=<csrsim> -DCSRTRACE=<csrtrace>
-#         -DCSRSERVE=<csrserve> -DSERVE_OPS=<ops>
+#         -DCSRSERVE=<csrserve> -DOFFLINE_BOUND=<bench_offline_bound>
+#         -DSERVE_OPS=<ops>
 #         -DSOURCE_DIR=<repo> -DWORK_DIR=<scratch dir> -P golden.cmake
 #
 # Cases:
@@ -22,7 +23,9 @@
 #                   misses, for every benchmark.  `csrsim trace
 #                   --policy dcl --mapping random --ratio 4 --haf 0.3`
 #                   reports the L2 misses of the sweep cell with the
-#                   same coordinates, for every benchmark.
+#                   same coordinates, for every benchmark, and so does
+#                   `csrsim trace --load-trace F` with the `traces=F`
+#                   cell's.
 #   sweep_resume    The same grid at --jobs 4, crippled by injected
 #                   faults (--fault-rate 0.3 --fault-seed 7
 #                   --retries 1) with a --checkpoint journal, exits 0
@@ -36,6 +39,9 @@
 #                   ablations), and they equal tests/sweep_views/
 #                   <preset>.txt: the tables the retired per-figure
 #                   bench binaries printed, banner lines dropped.
+#   offline_bound   `bench_offline_bound --scale test` prints the
+#                   savings table of tests/offline_bound.txt: the OPT
+#                   and CostOPT~ digits of TraceStudy's offline pass.
 #   serve_workers   Under shard affinity the `csrserve` summary is
 #                   byte-identical for any worker count (DESIGN.md
 #                   §3.4) and any stripe count (§3.6): for lru and acl,
@@ -278,6 +284,20 @@ elseif(CASE STREQUAL "sweep_trace")
         string(JSON got GET "${cell}" cells 0 l2Misses)
         expect_same("${bench} random-mapping cell l2Misses"
             "${want}" "${got}")
+        # And a --load-trace file draws its traces= cell's costs.
+        run(ignored "${CSRSIM}" trace --benchmark ${bench} --policy dcl
+            --load-trace "${file}" --mapping random --ratio 4 --haf 0.3
+            --scale test --metrics "${WORK_DIR}/${bench}_loaded.json")
+        string(CONCAT grid "traces=${file};policies=dcl;"
+            "mappings=random;ratios=4;hafs=0.3;scale=test")
+        sweep(ignored 0 --jobs 1
+            --json "${WORK_DIR}/${bench}_loaded_sweep.json")
+        file(READ "${WORK_DIR}/${bench}_loaded.json" trace)
+        file(READ "${WORK_DIR}/${bench}_loaded_sweep.json" cell)
+        string(JSON want GET "${trace}" counters trace.l2_misses)
+        string(JSON got GET "${cell}" cells 0 l2Misses)
+        expect_same("${bench} --load-trace random-mapping cell l2Misses"
+            "${want}" "${got}")
     endforeach()
 elseif(CASE STREQUAL "sweep_resume")
     set(journal "${WORK_DIR}/ckpt.jsonl")
@@ -305,6 +325,12 @@ elseif(CASE STREQUAL "sweep_views")
         expect_same("${preset} --jobs 1 tables" "${want}" "${jobs1}")
         expect_same("${preset} --jobs 4 tables" "${jobs1}" "${jobs4}")
     endforeach()
+elseif(CASE STREQUAL "offline_bound")
+    run(out "${OFFLINE_BOUND}" --scale test)
+    file(WRITE "${WORK_DIR}/offline_bound.txt" "${out}")
+    file(STRINGS "${WORK_DIR}/offline_bound.txt" got REGEX "^(==|\\|)")
+    file(STRINGS "${SOURCE_DIR}/tests/offline_bound.txt" want)
+    expect_same("bench_offline_bound --scale test table" "${want}" "${got}")
 elseif(CASE STREQUAL "serve_workers")
     foreach(policy lru acl)
         foreach(stripes 1 4)

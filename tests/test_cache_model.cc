@@ -10,7 +10,9 @@
  * pre-CacheModel implementation, where drivers hand-rolled the same
  * protocol against a separate TagArray.  Any behavioral drift in the
  * refactored access path -- victim choice, hook order, eviction
- * notification -- changes the hash.
+ * notification -- changes the hash.  The offline oracles run as
+ * TraceStudy's whole-trace pass on the same stream and pin cost, hits
+ * and misses.
  */
 
 #include <cstdint>
@@ -18,11 +20,11 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/BeladyPolicy.h"
 #include "cache/CacheModel.h"
 #include "cache/DclPolicy.h"
 #include "cache/GreedyDualPolicy.h"
 #include "cache/PolicyFactory.h"
+#include "sim/TraceStudy.h"
 
 using namespace csr;
 
@@ -66,32 +68,34 @@ struct GoldenResult
     std::uint64_t misses;
 };
 
+constexpr std::uint64_t kBlocks = 512;
+constexpr int kAccesses = 30000;
+
+/** The golden block stream: 60% of accesses to 64 hot blocks. */
+std::vector<Addr>
+goldenStream()
+{
+    Lcg rng{12345};
+    std::vector<Addr> stream;
+    for (int i = 0; i < kAccesses; ++i) {
+        const std::uint64_t r = rng.next() % 100;
+        stream.push_back(r < 60 ? rng.next() % 64
+                                : 64 + rng.next() % (kBlocks - 64));
+    }
+    return stream;
+}
+
 GoldenResult
 runPolicy(PolicyKind kind, bool with_invalidations)
 {
     const CacheGeometry geom(4096, 4, 64);
     CacheModel model(geom, makePolicy(kind, geom, PolicyParams{}));
 
-    constexpr std::uint64_t kBlocks = 512;
-    constexpr int kAccesses = 30000;
-    Lcg rng{12345};
-
-    // Pre-generate the access stream so oracles can be primed.
-    std::vector<Addr> stream;
+    const std::vector<Addr> stream = goldenStream();
     std::vector<std::uint64_t> inval_blocks;
     Lcg aux{98765};
-    for (int i = 0; i < kAccesses; ++i) {
-        const std::uint64_t r = rng.next() % 100;
-        const std::uint64_t block = r < 60
-                                        ? rng.next() % 64
-                                        : 64 + rng.next() % (kBlocks - 64);
-        stream.push_back(block);
+    for (int i = 0; i < kAccesses; ++i)
         inval_blocks.push_back(aux.next() % kBlocks);
-    }
-    if (kind == PolicyKind::Opt || kind == PolicyKind::CostOpt) {
-        auto *opt = dynamic_cast<BeladyPolicy *>(model.policy());
-        opt->prepare(stream);
-    }
 
     GoldenResult res{kFnvOffset, 0.0, 0, 0};
     for (int i = 0; i < kAccesses; ++i) {
@@ -167,10 +171,21 @@ const GoldenCase kGolden[] = {
      {0x54c26213b7d0cdf1ULL, 83848.0, 9858, 20142}},
     {"Acl", PolicyKind::Acl, true,
      {0x7ca6a5430ae98641ULL, 84924.0, 10052, 19948}},
-    {"Opt", PolicyKind::Opt, false,
-     {0x87eacd5c8a382593ULL, 58769.0, 16914, 13086}},
-    {"CostOpt", PolicyKind::CostOpt, false,
-     {0x4b59362955850182ULL, 55411.0, 16353, 13647}},
+};
+
+/** blockCost as a cost model, for the oracle pass. */
+class BlockCost : public CostModel
+{
+  public:
+    Cost missCost(Addr block) const override { return blockCost(block); }
+    std::string describe() const override { return "blockCost"; }
+};
+
+/** The offline oracles on the golden stream (no invalidations): the
+ *  counts the deleted Belady policies printed through CacheModel. */
+const GoldenCase kOracleGolden[] = {
+    {"Opt", PolicyKind::Opt, false, {0, 58769.0, 16914, 13086}},
+    {"CostOpt", PolicyKind::CostOpt, false, {0, 55411.0, 16353, 13647}},
 };
 
 TEST(CacheModelGolden, VictimSequencesMatchPreRefactorImplementation)
@@ -182,6 +197,23 @@ TEST(CacheModelGolden, VictimSequencesMatchPreRefactorImplementation)
         EXPECT_DOUBLE_EQ(r.aggCost, c.expected.aggCost);
         EXPECT_EQ(r.hits, c.expected.hits);
         EXPECT_EQ(r.misses, c.expected.misses);
+    }
+
+    SampledTrace trace;
+    for (const Addr block : goldenStream())
+        trace.records.push_back({block * 64, 0, false});
+    TraceSimConfig config;
+    config.useL1 = false;
+    config.l2Bytes = 4096;
+    config.l2Assoc = 4;
+    const TraceStudy study(trace, config);
+    const BlockCost model;
+    for (const GoldenCase &c : kOracleGolden) {
+        SCOPED_TRACE(c.name);
+        const TraceSimResult r = study.run(c.kind, model);
+        EXPECT_DOUBLE_EQ(r.aggregateCost, c.expected.aggCost);
+        EXPECT_EQ(r.l2Hits, c.expected.hits);
+        EXPECT_EQ(r.l2Misses, c.expected.misses);
     }
 }
 

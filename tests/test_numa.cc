@@ -13,6 +13,7 @@
 
 #include "numa/Event.h"
 #include "numa/NumaSystem.h"
+#include "robust/Errors.h"
 #include "trace/WorkloadFactory.h"
 #include "util/Random.h"
 
@@ -457,6 +458,20 @@ TEST(NumaEndToEnd, ExportsEveryCounterUnderOneNumaPrefix)
     forEachNumaCounter(expectRow("numa."), res.counters);
     forEachPolicyCounter(expectRow("numa.policy."), res.policyCounters);
     EXPECT_EQ(json.find("numa.proc.proc."), std::string::npos);
+}
+
+TEST(NumaEndToEnd, RefusesOfflineOracles)
+{
+    // OPT and CostOPT~ need the whole future, which an
+    // execution-driven run never has: the policy factory refuses them
+    // instead of running an unprimed oracle under the oracle's name.
+    auto wl = makeWorkload(BenchmarkId::Lu, WorkloadScale::Test, true);
+    for (PolicyKind kind : {PolicyKind::Opt, PolicyKind::CostOpt}) {
+        NumaConfig config = baseConfig();
+        config.policy = kind;
+        EXPECT_THROW(NumaSystem(config, *wl), ConfigError)
+            << policyKindName(kind);
+    }
 }
 
 class BenchmarkRuns : public ::testing::TestWithParam<BenchmarkId>

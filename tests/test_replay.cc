@@ -717,14 +717,33 @@ TEST(Replayer, CostHintsBeatTheDefaultCost)
 
 TEST(Replayer, ConfigRejectsOfflinePoliciesAndBadFlags)
 {
-    ReplayConfig config;
-    config.path = "t.csrt";
-    config.policy = PolicyKind::Opt;
-    EXPECT_THROW(config.validate(), ConfigError);
-    config.policy = PolicyKind::CostOpt;
-    EXPECT_THROW(config.validate(), ConfigError);
+    // The offline oracles need the whole future; replay refuses them
+    // with the policy factory's own message, at any job count.
+    const std::string path = writeTrace(mixedRecords(100), 64, "offline");
+    for (PolicyKind kind : {PolicyKind::Opt, PolicyKind::CostOpt}) {
+        std::string refusal;
+        try {
+            makePolicy(kind, CacheGeometry(4096, 4, 64));
+        } catch (const ConfigError &e) {
+            refusal = e.what();
+        }
+        ASSERT_FALSE(refusal.empty()) << policyKindName(kind);
+        for (unsigned jobs : {1u, 4u}) {
+            ReplayConfig config;
+            config.path = path;
+            config.policy = kind;
+            config.jobs = jobs;
+            try {
+                replayTrace(config);
+                ADD_FAILURE() << policyKindName(kind) << " replayed";
+            } catch (const ConfigError &e) {
+                EXPECT_EQ(std::string(e.what()), refusal);
+            }
+        }
+    }
+    std::remove(path.c_str());
 
-    config = ReplayConfig{};
+    ReplayConfig config;
     EXPECT_THROW(config.validate(), ConfigError); // no path
 
     config = ReplayConfig{};
@@ -742,9 +761,6 @@ TEST(Replayer, CliNegativePathsListAcceptedValues)
                  ConfigError);
     EXPECT_THROW(ReplayConfig::fromArgs(argsOf(
                      {"--file", "t.csrt", "--read-mode", "directio"})),
-                 ConfigError);
-    EXPECT_THROW(ReplayConfig::fromArgs(argsOf(
-                     {"--file", "t.csrt", "--policy", "opt"})),
                  ConfigError);
     try {
         ReplayConfig::fromArgs(

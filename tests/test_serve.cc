@@ -397,8 +397,15 @@ TEST(CacheService, RejectsBadConfig)
         CacheService service(config, backend);
         ADD_FAILURE() << "an offline policy drove the service";
     } catch (const ConfigError &e) {
-        // csrserve --help prints the same list.
-        EXPECT_NE(std::string(e.what()).find(onlinePolicyNamesJoined(" ")),
+        // The policy factory's refusal, which names the online
+        // policies csrserve --help lists.
+        try {
+            makePolicy(PolicyKind::Opt, CacheGeometry(4096, 4, 64));
+            ADD_FAILURE() << "the factory built an offline policy";
+        } catch (const ConfigError &factory) {
+            EXPECT_STREQ(e.what(), factory.what());
+        }
+        EXPECT_NE(std::string(e.what()).find(onlinePolicyNamesJoined()),
                   std::string::npos)
             << e.what();
     }

@@ -2,11 +2,13 @@
  * @file
  * Tests for the cost models and the trace-driven two-level simulator
  * (Section 3 methodology): hierarchy behaviour, invalidation
- * handling, cost accounting identities and the TraceStudy harness.
+ * handling, cost accounting identities, the TraceStudy harness and
+ * its offline oracles.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "cost/LatencyPredictor.h"
@@ -301,6 +303,172 @@ TEST(TraceStudyTest, OfflineOptBeatsLruMissCount)
     // With uniform cost, savings == miss-count reduction; OPT >= 0.
     const double savings = study.savingsPct(PolicyKind::Opt, uniform);
     EXPECT_GE(savings, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Offline oracles (TraceStudy's whole-trace pass)
+// ---------------------------------------------------------------------------
+
+/** One event of a single-set stream: a sampled ref to a block, or
+ *  (inval) another processor's write to it. */
+struct Event
+{
+    Addr block;
+    bool inval;
+};
+
+std::vector<Event>
+refsTo(std::initializer_list<Addr> blocks)
+{
+    std::vector<Event> events;
+    for (const Addr block : blocks)
+        events.push_back({block, false});
+    return events;
+}
+
+SampledTrace
+singleSetTrace(const std::vector<Event> &events)
+{
+    SampledTrace trace;
+    for (const Event &e : events)
+        trace.records.push_back(
+            rec(e.block * 64,
+                static_cast<std::uint16_t>(trace.sampledProc + e.inval),
+                e.inval));
+    return trace;
+}
+
+/** An L2-only study of one set of @p assoc 64-byte ways. */
+TraceSimConfig
+singleSetL2(std::uint32_t assoc)
+{
+    TraceSimConfig config;
+    config.useL1 = false;
+    config.l2Bytes = std::uint64_t{assoc} * 64;
+    config.l2Assoc = assoc;
+    return config;
+}
+
+/**
+ * Exhaustive search: the least aggregate miss cost of events[at...]
+ * on one set of @p assoc ways holding @p resident, over every victim
+ * choice at every miss (a miss always installs its block).
+ */
+double
+minCostOf(const std::vector<Event> &events, std::size_t at,
+          std::vector<Addr> resident, std::size_t assoc,
+          const CostModel &model)
+{
+    double paid = 0.0;
+    for (; at < events.size(); ++at) {
+        const Event &e = events[at];
+        const auto it = std::find(resident.begin(), resident.end(), e.block);
+        if (e.inval) {
+            if (it != resident.end())
+                resident.erase(it);
+            continue;
+        }
+        if (it != resident.end())
+            continue;
+        paid += model.missCost(e.block);
+        if (resident.size() < assoc) {
+            resident.push_back(e.block);
+            continue;
+        }
+        double best = std::numeric_limits<double>::infinity();
+        for (std::size_t victim = 0; victim < resident.size(); ++victim) {
+            std::vector<Addr> after = resident;
+            after[victim] = e.block;
+            best = std::min(best,
+                            minCostOf(events, at + 1, after, assoc, model));
+        }
+        return paid + best;
+    }
+    return paid;
+}
+
+TEST(Belady, ClassicExampleBeatsLru)
+{
+    // Sequence A B A C B on a 2-way set: OPT misses 3, LRU misses 4.
+    const SampledTrace trace = singleSetTrace(refsTo({1, 2, 1, 3, 2}));
+    const TraceStudy study(trace, singleSetL2(2));
+    UniformCost uniform;
+    EXPECT_EQ(study.run(PolicyKind::Opt, uniform).l2Misses, 3u);
+    EXPECT_EQ(study.run(PolicyKind::Lru, uniform).l2Misses, 4u);
+}
+
+TEST(Belady, NeverWorseThanLruOnRandomTraces)
+{
+    TraceSimConfig config;
+    config.useL1 = false;
+    config.l2Bytes = 1024; // 4 sets of 4 ways
+    config.l2Assoc = 4;
+    UniformCost uniform;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng(seed);
+        SampledTrace trace;
+        for (int i = 0; i < 3000; ++i)
+            trace.records.push_back(rec(rng.nextBelow(80) * 64));
+        const TraceStudy study(trace, config);
+        EXPECT_LE(study.run(PolicyKind::Opt, uniform).l2Misses,
+                  study.lruMissCount())
+            << "seed " << seed;
+    }
+}
+
+TEST(CostOpt, EvictsNeverReusedFirst)
+{
+    // 1,2,3,4 fill a 4-way set; 5 must evict 2 (never reused) even
+    // though it is the most expensive block, after which every ref
+    // hits: 5 misses costing 1 + 100 + 1 + 1 + 1.
+    const SampledTrace trace =
+        singleSetTrace(refsTo({1, 2, 3, 4, 5, 1, 3, 4, 5}));
+    const TraceStudy study(trace, singleSetL2(4));
+    TableCost table(1.0);
+    table.set(2, 100.0);
+    const TraceSimResult res = study.run(PolicyKind::CostOpt, table);
+    EXPECT_EQ(res.policyName, "CostOPT~");
+    EXPECT_EQ(res.l2Misses, 5u);
+    EXPECT_DOUBLE_EQ(res.aggregateCost, 104.0);
+}
+
+TEST(OfflineOracle, OptMatchesExhaustiveSearchWithoutInvalidations)
+{
+    // Every eviction choice on random single-set streams of at most
+    // 12 refs, 2 or 4 ways (a geometry's ways are a power of two):
+    // OPT's miss count is the minimum.
+    Rng rng(2003);
+    UniformCost uniform;
+    for (int trial = 0; trial < 1000; ++trial) {
+        const std::uint32_t assoc = rng.nextBelow(2) ? 4 : 2;
+        const std::uint64_t blocks = assoc + 1 + rng.nextBelow(3);
+        std::vector<Event> events(1 + rng.nextBelow(12));
+        for (Event &e : events)
+            e = {rng.nextBelow(blocks), false};
+        const SampledTrace trace = singleSetTrace(events);
+        const TraceStudy study(trace, singleSetL2(assoc));
+        EXPECT_EQ(static_cast<double>(
+                      study.run(PolicyKind::Opt, uniform).l2Misses),
+                  minCostOf(events, 0, {}, assoc, uniform))
+            << "trial " << trial << ", " << assoc << " ways";
+    }
+}
+
+TEST(OfflineOracle, OptIsNotMissOptimalUnderInvalidations)
+{
+    // A B C, another processor's write to A, then A B on a 2-way set.
+    // At C, OPT evicts B (its next use is farther than A's); the write
+    // then drops A anyway, so A and B both miss again: 5 misses.
+    // Evicting A at C instead keeps B: 4 misses.
+    const std::vector<Event> events = {{1, false}, {2, false}, {3, false},
+                                       {1, true},  {1, false}, {2, false}};
+    const SampledTrace trace = singleSetTrace(events);
+    const TraceStudy study(trace, singleSetL2(2));
+    UniformCost uniform;
+    const TraceSimResult opt = study.run(PolicyKind::Opt, uniform);
+    EXPECT_EQ(opt.l2Misses, 5u);
+    EXPECT_EQ(opt.invalidationsReceived, 1u);
+    EXPECT_EQ(minCostOf(events, 0, {}, 2, uniform), 4.0);
 }
 
 TEST(TraceStudyTest, AclNeverMuchWorseThanLru)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "robust/Errors.h"
 #include "trace/BarnesWorkload.h"
 #include "trace/LuWorkload.h"
 #include "trace/OceanWorkload.h"
@@ -272,6 +273,19 @@ TEST(WorkloadFactory, ParseNames)
     EXPECT_EQ(parseBenchmark("LU"), BenchmarkId::Lu);
     EXPECT_EQ(parseBenchmark("Ocean"), BenchmarkId::Ocean);
     EXPECT_EQ(parseBenchmark("RAYTRACE"), BenchmarkId::Raytrace);
+}
+
+TEST(WorkloadFactory, UnknownNameIsConfigErrorListingValidNames)
+{
+    // csrsim trace --benchmark and sweep benchmarks= exit 2 on it.
+    try {
+        parseBenchmark("bogus");
+        FAIL() << "unknown benchmark accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("barnes|lu|ocean|raytrace"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(WorkloadFactory, ProcessorCountsMatchTable1)

@@ -197,13 +197,12 @@ runTrace(const CliArgs &args)
     params.depreciationFactor = args.getDouble("depreciation", 2.0);
 
     // The sweep cell of this experiment builds the cost model, so a
-    // random mapping draws the cell's costs.
-    SweepCell cell;
-    cell.benchmark = id;
+    // random mapping draws the cell's costs (a --load-trace file's
+    // `traces=` cell's costs).
+    SweepCell cell = sourceCell(id, args.get("load-trace", ""), wl.scale);
     cell.mapping = parseCostMapping(args.get("mapping", "first-touch"));
     cell.ratio = CostRatio::finite(args.getDouble("ratio", 4.0));
     cell.haf = args.getDouble("haf", 0.3);
-    cell.scale = wl.scale;
     const auto model_ptr = makeCellCostModel(cell, trace);
     const CostModel &model = *model_ptr;
 
@@ -274,12 +273,13 @@ runNuma(const CliArgs &args)
 
     auto workload = makeWorkload(wl);
 
+    // Built first, so makePolicy refuses an oracle before LRU runs.
+    config.policy = kind;
+    NumaSystem sys(config, *workload);
     config.policy = PolicyKind::Lru;
     NumaSystem lru(config, *workload);
     const NumaResult base = lru.run();
 
-    config.policy = kind;
-    NumaSystem sys(config, *workload);
     NumaResult res;
     {
         const telemetry::TraceSession session(args.tracePath());
@@ -447,7 +447,8 @@ usage()
         << "usage: csrsim trace|numa|sweep|replay [--key value ...]\n"
            "  common: --benchmark barnes|lu|ocean|raytrace\n"
            "          --policy " << policyNamesJoined() << "\n"
-        << "          --scale test|small|full  --alias-bits N\n"
+        << "            (opt, costopt: offline oracles, trace and sweep only)\n"
+           "          --scale test|small|full  --alias-bits N\n"
            "          --procs N --refs N --seed N --validate\n"
            "          --trace FILE (Chrome trace JSON, see Perfetto)\n"
            "          --metrics FILE (unified metrics JSON)\n"
