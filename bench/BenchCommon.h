@@ -15,6 +15,7 @@
 #define CSR_BENCH_BENCHCOMMON_H
 
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -124,6 +125,21 @@ latencyHistogramTable(
     return table;
 }
 
+/** writeOutputFile(@p path, @p write) with a stderr note naming
+ *  @p what; a failed write exits like benchArgs. */
+inline void
+writeBenchFile(const std::string &path, const char *what,
+               const std::function<void(std::ostream &)> &write)
+{
+    try {
+        writeOutputFile(path, write);
+    } catch (const Error &e) {
+        std::cerr << e.kind() << ": " << e.what() << "\n";
+        std::exit(e.exitCode());
+    }
+    std::cerr << "### wrote " << what << " to " << path << "\n";
+}
+
 /** Write @p registry as unified metrics JSON when @p path is set
  *  (the benches' --metrics flag), with a stderr note. */
 inline void
@@ -131,8 +147,8 @@ maybeWriteMetrics(const MetricRegistry &registry, const std::string &path)
 {
     if (path.empty() || registry.empty())
         return;
-    registry.writeJson(path);
-    std::cerr << "### wrote metrics to " << path << "\n";
+    writeBenchFile(path, "metrics",
+                   [&](std::ostream &os) { registry.writeJson(os); });
 }
 
 } // namespace csr::bench

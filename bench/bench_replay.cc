@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -221,8 +220,7 @@ main(int argc, char **argv)
 
     const std::string json_path =
         args.has("json") ? args.jsonPath() : "BENCH_replay.json";
-    std::ofstream os(json_path);
-    if (os) {
+    bench::writeBenchFile(json_path, "JSON", [&](std::ostream &os) {
         os << "{\n  \"ops\": " << ops << ",\n  \"cacheBytes\": "
            << config.cacheBytes << ",\n  \"policies\": [\n";
         for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -239,10 +237,7 @@ main(int argc, char **argv)
            << TextTable::numFull(scaling.wallSec[0])
            << ",\n      \"wallSecJobs4\": "
            << TextTable::numFull(scaling.wallSec[1]) << "\n    }\n  }\n}\n";
-        std::cerr << "### wrote JSON to " << json_path << "\n";
-    } else {
-        std::cerr << "### cannot write " << json_path << "\n";
-    }
+    });
 
     if (!args.metricsPath().empty()) {
         MetricRegistry metrics;

@@ -39,7 +39,6 @@
  * sweeps plus the scaling summaries for the artifact archive.
  */
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -348,8 +347,7 @@ main(int argc, char **argv)
 
     const std::string json_path =
         args.has("json") ? args.jsonPath() : "BENCH_contention.json";
-    std::ofstream os(json_path);
-    if (os) {
+    bench::writeBenchFile(json_path, "JSON", [&](std::ostream &os) {
         const auto write_cells_json = [&](const std::vector<Cell> &list) {
             for (std::size_t i = 0; i < list.size(); ++i) {
                 const Cell &c = list[i];
@@ -392,10 +390,7 @@ main(int argc, char **argv)
         os << "},\n  \"minScaling\": " << min_scaling
            << ",\n  \"minWriteScaling\": " << min_write_scaling
            << "\n}\n";
-        std::cerr << "### wrote JSON to " << json_path << "\n";
-    } else {
-        std::cerr << "### cannot write " << json_path << "\n";
-    }
+    });
 
     bool failed = false;
     if (min_scaling > 0.0)

@@ -17,7 +17,6 @@
  * (BENCH_serve.json by default) for CI to archive.
  */
 
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -128,8 +127,7 @@ main(int argc, char **argv)
 
     const std::string json_path =
         args.has("json") ? args.jsonPath() : "BENCH_serve.json";
-    std::ofstream os(json_path);
-    if (os) {
+    bench::writeBenchFile(json_path, "JSON", [&](std::ostream &os) {
         os << "{\n  \"ops\": " << harness_config.ops
            << ",\n  \"workload\": \"" << harness_config.mix.describe()
            << "\",\n  \"lruMissCostNs\": " << lru_cost_ns
@@ -142,10 +140,7 @@ main(int argc, char **argv)
             os << (i + 1 < runs.size() ? ",\n" : "\n");
         }
         os << "  ]\n}\n";
-        std::cerr << "### wrote JSON to " << json_path << "\n";
-    } else {
-        std::cerr << "### cannot write " << json_path << "\n";
-    }
+    });
 
     if (!args.metricsPath().empty()) {
         MetricRegistry metrics;

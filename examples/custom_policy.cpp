@@ -17,6 +17,7 @@
 
 #include "cache/StackPolicyBase.h"
 #include "cost/StaticCostModels.h"
+#include "robust/Errors.h"
 #include "sim/TraceSimulator.h"
 #include "trace/SampledTrace.h"
 #include "trace/WorkloadFactory.h"
@@ -67,7 +68,7 @@ aggregateCost(PolicyPtr policy, const SampledTrace &trace,
 
 int
 main(int argc, char **argv)
-{
+try {
     const BenchmarkId id = parseBenchmark(argc > 1 ? argv[1] : "barnes");
     auto workload = makeWorkload(id, WorkloadScale::Small);
     const SampledTrace trace = buildSampledTrace(*workload, 1);
@@ -97,4 +98,7 @@ main(int argc, char **argv)
     std::cout << "\nA ~20-line policy slots into the same harness as "
                  "the paper's algorithms.\n";
     return 0;
+} catch (const Error &e) {
+    std::cerr << "custom_policy: " << e.kind() << ": " << e.what() << "\n";
+    return e.exitCode();
 }

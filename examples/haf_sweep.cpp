@@ -11,10 +11,10 @@
  *   $ ./examples/haf_sweep [benchmark=ocean] [r=8]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "cost/StaticCostModels.h"
+#include "robust/Errors.h"
 #include "sim/TraceStudy.h"
 #include "trace/WorkloadFactory.h"
 #include "util/Table.h"
@@ -23,21 +23,21 @@ using namespace csr;
 
 int
 main(int argc, char **argv)
-{
+try {
     const BenchmarkId id = parseBenchmark(argc > 1 ? argv[1] : "ocean");
-    const double r = argc > 2 ? std::atof(argv[2]) : 8.0;
+    const CostRatio ratio = parseCostRatio(argc > 2 ? argv[2] : "8");
 
     auto workload = makeWorkload(id, WorkloadScale::Small);
     const SampledTrace trace = buildSampledTrace(*workload, 1);
     const TraceStudy study(trace);
 
     std::cout << "DCL savings over LRU on " << benchmarkName(id)
-              << ", random cost mapping, r=" << r << "\n\n";
+              << ", random cost mapping, " << ratio.label() << "\n\n";
 
     double peak = 0.0;
     double peak_haf = 0.0;
     for (double haf = 0.0; haf <= 1.0001; haf += 0.05) {
-        const RandomTwoCost model(CostRatio::finite(r), haf);
+        const RandomTwoCost model(ratio, haf);
         const double savings =
             study.savingsPct(PolicyKind::Dcl, model);
         if (savings > peak) {
@@ -54,4 +54,7 @@ main(int argc, char **argv)
               << "% at HAF " << TextTable::num(peak_haf, 2)
               << " (paper: peak between 0.1 and 0.3)\n";
     return 0;
+} catch (const Error &e) {
+    std::cerr << "haf_sweep: " << e.kind() << ": " << e.what() << "\n";
+    return e.exitCode();
 }

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "numa/NumaSystem.h"
+#include "robust/Errors.h"
 #include "trace/WorkloadFactory.h"
 #include "util/Table.h"
 
@@ -35,7 +36,7 @@ runOnce(const SyntheticWorkload &workload, PolicyKind kind)
 
 int
 main(int argc, char **argv)
-{
+try {
     const BenchmarkId id = parseBenchmark(argc > 1 ? argv[1] : "raytrace");
     const PolicyKind kind = requirePolicyKind(argc > 2 ? argv[2] : "dcl");
 
@@ -80,4 +81,7 @@ main(int argc, char **argv)
     std::cout << "\nexecution time reduction over LRU: "
               << TextTable::num(reduction, 2) << "%\n";
     return 0;
+} catch (const Error &e) {
+    std::cerr << "numa_latency: " << e.kind() << ": " << e.what() << "\n";
+    return e.exitCode();
 }

@@ -15,6 +15,7 @@
 #include "cache/CacheModel.h"
 #include "cache/PolicyFactory.h"
 #include "cost/StaticCostModels.h"
+#include "robust/Errors.h"
 #include "util/Random.h"
 
 using namespace csr;
@@ -49,7 +50,7 @@ replay(PolicyKind kind, const std::vector<Addr> &accesses,
 
 int
 main()
-{
+try {
     // A cost function: blocks whose address hashes into the top 20%
     // cost 8, the rest cost 1 (think: remote vs local memory).
     RandomTwoCost cost(CostRatio::finite(8), /*haf=*/0.2);
@@ -79,4 +80,7 @@ main()
                  "blocks cached\nthrough the sweep; LRU treats every "
                  "miss as equal.\n";
     return 0;
+} catch (const Error &e) {
+    std::cerr << "quickstart: " << e.kind() << ": " << e.what() << "\n";
+    return e.exitCode();
 }

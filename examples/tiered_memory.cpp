@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "cost/StaticCostModels.h"
+#include "robust/Errors.h"
 #include "sim/TraceSimulator.h"
 #include "trace/SampledTrace.h"
 #include "trace/WorkloadFactory.h"
@@ -25,7 +26,7 @@ using namespace csr;
 
 int
 main()
-{
+try {
     // Reuse the Raytrace generator as a stand-in for an object store
     // workload: a large read-mostly footprint with lobed locality.
     auto workload = makeWorkload(BenchmarkId::Raytrace,
@@ -73,4 +74,7 @@ main()
                  "algorithms stay competitive while\npreserving "
                  "locality.\n";
     return 0;
+} catch (const Error &e) {
+    std::cerr << "tiered_memory: " << e.kind() << ": " << e.what() << "\n";
+    return e.exitCode();
 }

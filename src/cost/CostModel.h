@@ -60,14 +60,16 @@ struct CostRatio
         return {0.0, 1.0, true};
     }
 
-    std::string
-    label() const
-    {
-        if (infinite)
-            return "r=inf";
-        return "r=" + std::to_string(static_cast<long long>(high));
-    }
+    /** "r=8", "r=2.5" (shortest form) or "r=inf". */
+    std::string label() const;
 };
+
+/**
+ * The one cost-ratio parser (sweep grids, `csrsim trace --ratio`, the
+ * examples): "inf" (any case) or a finite number above 0; anything
+ * else is a ConfigError.
+ */
+CostRatio parseCostRatio(const std::string &text);
 
 } // namespace csr
 

@@ -3,20 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "cost/StaticCostModels.h"
 #include "replay/Format.h"
 #include "replay/SweepTrace.h"
-#include "robust/CheckpointLog.h"
 #include "robust/FaultInjector.h"
 #include "sim/SweepCheckpoint.h"
 #include "telemetry/Telemetry.h"
+#include "util/CliArgs.h"
 #include "util/Json.h"
 #include "util/Logging.h"
 #include "util/Random.h"
@@ -27,6 +26,25 @@ namespace csr
 
 namespace
 {
+
+std::string printed(const char *format, ...)
+    __attribute__((format(printf, 1, 2)));
+
+/** std::snprintf into a string. */
+std::string
+printed(const char *format, ...)
+{
+    std::va_list args, again;
+    va_start(args, format);
+    va_copy(again, args);
+    std::string out(
+        static_cast<std::size_t>(std::vsnprintf(nullptr, 0, format, args)),
+        '\0');
+    std::vsnprintf(out.data(), out.size() + 1, format, again);
+    va_end(again);
+    va_end(args);
+    return out;
+}
 
 std::uint64_t
 mixInto(std::uint64_t h, std::uint64_t v)
@@ -403,69 +421,63 @@ void
 SweepResult::writeJson(const std::string &path,
                        bool include_timing) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw ConfigError("cannot write sweep JSON to '" + path + "'");
-    std::fprintf(f, "{\n");
-    if (include_timing) {
-        // Timing is inherently run-dependent; byte-stable consumers
-        // (the resume-equivalence check) ask for it to be left out.
-        std::fprintf(f,
-                     "  \"jobs\": %u,\n"
-                     "  \"wallSec\": %.6f,\n"
-                     "  \"setupSec\": %.6f,\n"
-                     "  \"taskSecTotal\": %.6f,\n"
-                     "  \"taskSecMax\": %.6f,\n",
-                     jobs, wallSec, setupSec, taskSecTotal,
-                     taskSecMax);
-    }
-    std::fprintf(f,
-                 "  \"gridCells\": %zu,\n"
-                 "  \"succeeded\": %zu,\n"
-                 "  \"failed\": %zu,\n"
-                 "  \"cells\": [\n",
-                 gridCells, cells.size(), failures.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const SweepCellResult &res = cells[i];
-        const SweepCell &cell = res.cell;
-        std::fprintf(
-            f,
-            "    {\"index\": %zu, \"benchmark\": \"%s\","
-            " \"policy\": \"%s\", \"mapping\": \"%s\","
-            " \"ratio\": \"%s\", \"haf\": %.4f,"
-            " \"l2Bytes\": %llu, \"assoc\": %u, \"aliasBits\": %u,"
-            " \"depreciation\": %.4f, \"seed\": %llu,"
-            " \"sampledRefs\": %llu, \"l2Hits\": %llu,"
-            " \"l2Misses\": %llu, \"aggregateCost\": %.6f,"
-            " \"lruCost\": %.6f, \"savingsPct\": %.6f}%s\n",
-            res.index, jsonEscape(sourceNameOf(cell)).c_str(),
-            policyKindName(cell.policy).c_str(),
-            costMappingName(cell.mapping).c_str(),
-            cell.ratio.label().c_str(), cell.haf,
-            static_cast<unsigned long long>(cell.l2Bytes),
-            cell.l2Assoc, cell.etdAliasBits, cell.depreciationFactor,
-            static_cast<unsigned long long>(res.seed),
-            static_cast<unsigned long long>(res.sampledRefs),
-            static_cast<unsigned long long>(res.l2Hits),
-            static_cast<unsigned long long>(res.l2Misses),
-            res.aggregateCost, res.lruCost, res.savingsPct,
-            i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"failures\": [\n");
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        const CellFailure &failure = failures[i];
-        std::fprintf(
-            f,
-            "    {\"index\": %zu, \"cell\": \"%s\","
-            " \"kind\": \"%s\", \"attempts\": %u,"
-            " \"message\": \"%s\"}%s\n",
-            failure.index, jsonEscape(failure.cell.label()).c_str(),
-            jsonEscape(failure.kind).c_str(), failure.attempts,
-            jsonEscape(failure.message).c_str(),
-            i + 1 < failures.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    writeOutputFile(path, [&](std::ostream &os) {
+        os << "{\n";
+        if (include_timing) {
+            // Timing is inherently run-dependent; byte-stable consumers
+            // (the resume-equivalence check) ask for it to be left out.
+            os << printed("  \"jobs\": %u,\n"
+                          "  \"wallSec\": %.6f,\n"
+                          "  \"setupSec\": %.6f,\n"
+                          "  \"taskSecTotal\": %.6f,\n"
+                          "  \"taskSecMax\": %.6f,\n",
+                          jobs, wallSec, setupSec, taskSecTotal,
+                          taskSecMax);
+        }
+        os << printed("  \"gridCells\": %zu,\n"
+                      "  \"succeeded\": %zu,\n"
+                      "  \"failed\": %zu,\n"
+                      "  \"cells\": [\n",
+                      gridCells, cells.size(), failures.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const SweepCellResult &res = cells[i];
+            const SweepCell &cell = res.cell;
+            os << printed(
+                "    {\"index\": %zu, \"benchmark\": \"%s\","
+                " \"policy\": \"%s\", \"mapping\": \"%s\","
+                " \"ratio\": \"%s\", \"haf\": %.4f,"
+                " \"l2Bytes\": %llu, \"assoc\": %u, \"aliasBits\": %u,"
+                " \"depreciation\": %.4f, \"seed\": %llu,"
+                " \"sampledRefs\": %llu, \"l2Hits\": %llu,"
+                " \"l2Misses\": %llu, \"aggregateCost\": %.6f,"
+                " \"lruCost\": %.6f, \"savingsPct\": %.6f}%s\n",
+                res.index, jsonEscape(sourceNameOf(cell)).c_str(),
+                policyKindName(cell.policy).c_str(),
+                costMappingName(cell.mapping).c_str(),
+                cell.ratio.label().c_str(), cell.haf,
+                static_cast<unsigned long long>(cell.l2Bytes),
+                cell.l2Assoc, cell.etdAliasBits, cell.depreciationFactor,
+                static_cast<unsigned long long>(res.seed),
+                static_cast<unsigned long long>(res.sampledRefs),
+                static_cast<unsigned long long>(res.l2Hits),
+                static_cast<unsigned long long>(res.l2Misses),
+                res.aggregateCost, res.lruCost, res.savingsPct,
+                i + 1 < cells.size() ? "," : "");
+        }
+        os << "  ],\n  \"failures\": [\n";
+        for (std::size_t i = 0; i < failures.size(); ++i) {
+            const CellFailure &failure = failures[i];
+            os << printed(
+                "    {\"index\": %zu, \"cell\": \"%s\","
+                " \"kind\": \"%s\", \"attempts\": %u,"
+                " \"message\": \"%s\"}%s\n",
+                failure.index, jsonEscape(failure.cell.label()).c_str(),
+                jsonEscape(failure.kind).c_str(), failure.attempts,
+                jsonEscape(failure.message).c_str(),
+                i + 1 < failures.size() ? "," : "");
+        }
+        os << "  ]\n}\n";
+    });
 }
 
 SweepRunner::SweepRunner(unsigned jobs)
@@ -480,29 +492,6 @@ SweepRunner::buildTraces(const std::vector<BenchmarkId> &benchmarks,
     ThreadPool pool(jobs_);
     return buildTracesWith(pool, benchmarks, scale);
 }
-
-namespace
-{
-
-/** Deterministic capped exponential backoff before retry @p attempt
- *  (the one that just failed).  The jitter is a pure function of the
- *  cell seed and attempt number, so retry schedules are reproducible
- *  run to run. */
-void
-retrySleep(std::uint64_t base_ms, std::uint64_t seed, unsigned attempt)
-{
-    if (base_ms == 0)
-        return;
-    const unsigned shift = std::min(attempt - 1, 10u);
-    const std::uint64_t capped =
-        std::min<std::uint64_t>(base_ms << shift, 1000);
-    const std::uint64_t jitter =
-        hashMix64(seed ^ (0xBAC0FFull + attempt)) % (capped / 2 + 1);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(capped + jitter));
-}
-
-} // namespace
 
 SweepResult
 SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
@@ -530,7 +519,7 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
     // Checkpoint: restore completed cells, then (re)open the journal.
     // A journal without a valid header (missing file, or only a torn
     // first line) is started from scratch.
-    JsonlWriter journal;
+    SweepJournal journal;
     std::size_t resumed = 0;
     if (!options.checkpointPath.empty()) {
         SweepCheckpointState restored;
@@ -540,7 +529,7 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
         journal.open(options.checkpointPath,
                      /*truncate=*/!restored.headerValid);
         if (!restored.headerValid)
-            journal.appendLine(checkpointHeaderLine(
+            journal.append(checkpointHeaderLine(
                 gridFingerprint(cells), cells.size()));
         // Only successes are final: a journaled failure means the
         // cell never produced a result, so resume re-runs it (e.g.
@@ -619,10 +608,8 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
         CSR_TRACE_SPAN_DYN("sweep", cell.label());
         const std::uint64_t seed = cell.hash();
 
-        std::string fail_kind, fail_message;
-        unsigned attempt = 0;
-        while (slot.outcome == Outcome::Pending) {
-            ++attempt;
+        for (unsigned attempt = 1; slot.outcome == Outcome::Pending;
+             ++attempt) {
             try {
                 // Fresh fault-injection scope per attempt, so a
                 // retried cell draws new (still deterministic)
@@ -663,11 +650,11 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
                     relativeCostSavings(lru_cost, sim.aggregateCost);
                 slot.outcome = Outcome::Ok;
             } catch (const Error &e) {
-                fail_kind = e.kind();
-                fail_message = e.what();
+                slot.failure.kind = e.kind();
+                slot.failure.message = e.what();
             } catch (const std::exception &e) {
-                fail_kind = "std::exception";
-                fail_message = e.what();
+                slot.failure.kind = "std::exception";
+                slot.failure.message = e.what();
             }
             if (slot.outcome == Outcome::Ok)
                 break;
@@ -675,21 +662,16 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
             if (attempt >= options.maxAttempts) {
                 slot.failure.cell = cell;
                 slot.failure.index = i;
-                slot.failure.kind = fail_kind;
-                slot.failure.message = fail_message;
                 slot.failure.attempts = attempt;
                 slot.outcome = Outcome::Failed;
-                break;
             }
-            retrySleep(options.retryBackoffMs, seed, attempt);
         }
 
         if (slot.outcome == Outcome::Ok) {
             slot.result.taskSec = task_timer.elapsedSec();
-            if (journal.isOpen())
-                journal.appendLine(checkpointCellLine(slot.result));
-        } else if (journal.isOpen()) {
-            journal.appendLine(checkpointFailureLine(slot.failure));
+            journal.append(checkpointCellLine(slot.result));
+        } else {
+            journal.append(checkpointFailureLine(slot.failure));
         }
     });
 
@@ -937,18 +919,8 @@ parseGridSpec(const std::string &spec)
                 grid.mappings.push_back(parseCostMapping(v));
         } else if (key == "ratios") {
             grid.ratios.clear();
-            for (const auto &v : values) {
-                if (lowered(v) == "inf") {
-                    grid.ratios.push_back(CostRatio::makeInfinite());
-                } else {
-                    const double ratio = parseNumberFor(key, v);
-                    if (ratio <= 0.0)
-                        throw ConfigError(
-                            "cost ratio " + std::to_string(ratio) +
-                            " must be positive");
-                    grid.ratios.push_back(CostRatio::finite(ratio));
-                }
-            }
+            for (const auto &v : values)
+                grid.ratios.push_back(parseCostRatio(v));
         } else if (key == "hafs") {
             grid.hafs.clear();
             for (const auto &v : values) {

@@ -201,7 +201,7 @@ struct SweepResult
      * artifacts).  @p include_timing adds the wall/setup/task
      * summary; pass false for byte-stable output across runs (the
      * checkpoint/resume equivalence contract).  Throws ConfigError if
-     * @p path cannot be opened for writing.
+     * @p path cannot be written.
      */
     void writeJson(const std::string &path,
                    bool include_timing = true) const;
@@ -214,16 +214,12 @@ struct SweepResult
  */
 struct SweepOptions
 {
-    /** Attempts per cell (>= 1).  Retries re-run the cell from
-     *  scratch with a fresh fault-injection scope. */
+    /** Attempts per cell (>= 1).  A retry re-runs the cell at once
+     *  from the shared setup, with a fresh fault-injection scope. */
     unsigned maxAttempts = 1;
 
-    /** Base backoff before the first retry, doubled per further
-     *  retry and capped at 1s.  Jitter is derived from the cell hash
-     *  so the schedule is deterministic.  0 disables sleeping. */
-    std::uint64_t retryBackoffMs = 10;
-
-    /** Append-only JSONL journal of completed cells; empty = off. */
+    /** Append-only journal of cell outcomes (sim/SweepCheckpoint.h);
+     *  empty = off. */
     std::string checkpointPath;
 
     /** Restore finished cells from checkpointPath and only run the

@@ -1,9 +1,7 @@
 #include "telemetry/MetricRegistry.h"
 
-#include <fstream>
-
+#include "util/CliArgs.h"
 #include "util/Json.h"
-#include "util/Logging.h"
 
 namespace csr
 {
@@ -223,10 +221,7 @@ MetricRegistry::writeJson(std::ostream &os) const
 void
 MetricRegistry::writeJson(const std::string &path) const
 {
-    std::ofstream os(path);
-    if (!os)
-        csr_fatal("cannot write metrics to '%s'", path.c_str());
-    writeJson(os);
+    writeOutputFile(path, [this](std::ostream &os) { writeJson(os); });
 }
 
 void

@@ -83,7 +83,7 @@ class MetricRegistry
 
     /** The JSON schema documented in the file comment. */
     void writeJson(std::ostream &os) const;
-    /** Same, to a file; fatal if @p path cannot be opened. */
+    /** Same, to a file; ConfigError if @p path cannot be written. */
     void writeJson(const std::string &path) const;
 
     void reset();

@@ -6,6 +6,9 @@
 
 #include "telemetry/Tracer.h"
 
+#include <exception>
+
+#include "robust/Errors.h"
 #include "util/Logging.h"
 
 namespace csr::telemetry
@@ -19,14 +22,20 @@ TraceSession::TraceSession(const std::string &path) : path_(path)
     setTracingEnabled(true);
 }
 
-TraceSession::~TraceSession()
+TraceSession::~TraceSession() noexcept(false)
 {
     if (path_.empty())
         return;
     setTracingEnabled(false);
-    Tracer::instance().writeChromeTrace(path_);
-    inform("wrote %zu trace events to %s", Tracer::instance().eventCount(),
-           path_.c_str());
+    try {
+        Tracer::instance().writeChromeTrace(path_);
+        inform("wrote %zu trace events to %s",
+               Tracer::instance().eventCount(), path_.c_str());
+    } catch (const Error &e) {
+        if (std::uncaught_exceptions() == 0)
+            throw;
+        warn("%s", e.what());
+    }
 }
 
 } // namespace csr::telemetry

@@ -1,11 +1,10 @@
 #include "telemetry/Tracer.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "telemetry/MetricRegistry.h"
+#include "util/CliArgs.h"
 #include "util/Json.h"
-#include "util/Logging.h"
 
 namespace csr::telemetry
 {
@@ -209,10 +208,8 @@ Tracer::writeChromeTrace(std::ostream &os) const
 void
 Tracer::writeChromeTrace(const std::string &path) const
 {
-    std::ofstream os(path);
-    if (!os)
-        csr_fatal("cannot write trace to '%s'", path.c_str());
-    writeChromeTrace(os);
+    writeOutputFile(path,
+                    [this](std::ostream &os) { writeChromeTrace(os); });
 }
 
 } // namespace csr::telemetry

@@ -141,7 +141,7 @@ class Tracer
 
     /** Export the buffered events as Chrome trace-event JSON. */
     void writeChromeTrace(std::ostream &os) const;
-    /** Same, to a file; fatal if @p path cannot be opened. */
+    /** Same, to a file; ConfigError if @p path cannot be written. */
     void writeChromeTrace(const std::string &path) const;
 
   private:
@@ -205,13 +205,15 @@ class ScopedSpan
 /**
  * RAII recording session for a driver's --trace FILE: enables the
  * tracer for the scope and exports the Chrome trace JSON on exit.  A
- * pathless session records nothing.
+ * pathless session records nothing.  A failed export throws its
+ * ConfigError from the destructor; while another exception unwinds
+ * the scope, it is only warned about, and the other one propagates.
  */
 class TraceSession
 {
   public:
     explicit TraceSession(const std::string &path);
-    ~TraceSession();
+    ~TraceSession() noexcept(false);
 
     TraceSession(const TraceSession &) = delete;
     TraceSession &operator=(const TraceSession &) = delete;

@@ -22,6 +22,8 @@
 #define CSR_UTIL_CLIARGS_H
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -130,6 +132,14 @@ class CliArgs
  * ConfigError naming --@p flag.
  */
 void ensureWritable(const std::string &path, const std::string &flag);
+
+/**
+ * Write the file @p path with @p write, then flush and close it.  A
+ * path that cannot be opened or a write that fails (a full disk) is a
+ * ConfigError naming the path, never a silently truncated file.
+ */
+void writeOutputFile(const std::string &path,
+                     const std::function<void(std::ostream &)> &write);
 
 } // namespace csr
 

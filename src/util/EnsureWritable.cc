@@ -1,12 +1,15 @@
 /**
  * @file
- * ensureWritable, declared in CliArgs.h.  It has its own object file
- * so that a static link pulls it only into the drivers that call it.
+ * ensureWritable and writeOutputFile, declared in CliArgs.h: the
+ * checks on every output file a driver writes.
  */
 
 #include "util/CliArgs.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 
 #include "robust/Errors.h"
 
@@ -29,6 +32,19 @@ ensureWritable(const std::string &path, const std::string &flag)
     std::fclose(f);
     if (!existed)
         std::remove(path.c_str());
+}
+
+void
+writeOutputFile(const std::string &path,
+                const std::function<void(std::ostream &)> &write)
+{
+    std::ofstream os(path);
+    if (os)
+        write(os);
+    os.close(); // flushes
+    if (!os)
+        throw ConfigError("cannot write '" + path +
+                          "': " + std::strerror(errno));
 }
 
 } // namespace csr

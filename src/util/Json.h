@@ -1,7 +1,7 @@
 /**
  * @file
  * The one JSON string escaper, shared by every JSON writer (metrics,
- * Chrome traces, checkpoint journals).
+ * Chrome traces, sweep and serve results).
  */
 
 #ifndef CSR_UTIL_JSON_H

@@ -3,7 +3,7 @@
 #
 #   cmake -DCASE=<case> -DCSRSIM=<csrsim> -DCSRTRACE=<csrtrace>
 #         -DCSRSERVE=<csrserve> -DOFFLINE_BOUND=<bench_offline_bound>
-#         -DSERVE_OPS=<ops>
+#         -DEXAMPLES_DIR=<dir of the example binaries> -DSERVE_OPS=<ops>
 #         -DSOURCE_DIR=<repo> -DWORK_DIR=<scratch dir> -P golden.cmake
 #
 # Cases:
@@ -76,6 +76,12 @@
 #                   and the two seeds' server summaries differ.  Once
 #                   the client is gone the server's /proc/<pid>/fd
 #                   table must be back at its pre-client size.
+#   examples        The examples report bad input as csrsim does: an
+#                   unknown benchmark (haf_sweep, numa_latency,
+#                   custom_policy), a cost ratio that is not inf or
+#                   above 0 (haf_sweep) and an offline oracle given to
+#                   the NUMA simulator (numa_latency lu opt) each exit
+#                   2 with the ConfigError's message.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -300,14 +306,14 @@ elseif(CASE STREQUAL "sweep_trace")
             "${want}" "${got}")
     endforeach()
 elseif(CASE STREQUAL "sweep_resume")
-    set(journal "${WORK_DIR}/ckpt.jsonl")
+    set(journal "${WORK_DIR}/ckpt.journal")
     sweep(clean 0 --jobs 4)
     # 0 (every cell survived its retry) and 10 (cells failed) are both
     # legitimate; anything else is a real failure.
     sweep(ignored "0;10" --jobs 4 --fault-rate 0.3 --fault-seed 7
         --retries 1 --checkpoint "${journal}")
     # Exit 0 alone would also pass with every probe dead.
-    file(STRINGS "${journal}" failures REGEX "\"type\":\"failure\"")
+    file(STRINGS "${journal}" failures REGEX "^failure ")
     if(NOT failures)
         message(FATAL_ERROR "the fault-injected sweep journaled no failed "
             "cell -- no probe fired")
@@ -434,6 +440,24 @@ elseif(CASE STREQUAL "serve_chaos")
         message(FATAL_ERROR "chaos seeds 42 and 1337 produced identical "
             "server summaries -- injection is not keyed on the seed")
     endif()
+elseif(CASE STREQUAL "examples")
+    # Run the example NAME with ARGN: it must exit 2 with a ConfigError
+    # whose message holds WANT.
+    function(expect_config_error want name)
+        execute_process(COMMAND "${EXAMPLES_DIR}/${name}" ${ARGN}
+            RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+        string(FIND "${err}" "${name}: ConfigError: " kind_at)
+        string(FIND "${err}" "${want}" want_at)
+        if(NOT rc EQUAL 2 OR kind_at EQUAL -1 OR want_at EQUAL -1)
+            message(FATAL_ERROR "${name} ${ARGN} exited ${rc}, not 2 with "
+                "a ConfigError naming \"${want}\":\n${err}")
+        endif()
+    endfunction()
+    expect_config_error("unknown benchmark 'bogus'" haf_sweep bogus)
+    expect_config_error("cost ratio 'banana'" haf_sweep ocean banana)
+    expect_config_error("unknown benchmark 'bogus'" numa_latency bogus)
+    expect_config_error("unknown benchmark 'bogus'" custom_policy bogus)
+    expect_config_error("online policies: " numa_latency lu opt)
 else()
     message(FATAL_ERROR "unknown golden case '${CASE}'")
 endif()

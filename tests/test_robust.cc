@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the robustness layer: the typed error hierarchy, the
- * JSONL checkpoint substrate under corrupt and truncated input, the
- * sweep checkpoint codec, per-cell fault isolation and retry,
+ * sweep journal (writer, loader, and a mutation fuzz of its parser),
+ * per-cell fault isolation and retry,
  * kill-and-resume equivalence, typed trace-file errors, the NUMA
  * stall watchdog, and the deterministic fault injector end to end,
  * at every probe site.
@@ -24,13 +24,12 @@
 #include "replay/Format.h"
 #include "replay/SweepTrace.h"
 #include "replay/TraceReader.h"
-#include "robust/CheckpointLog.h"
 #include "robust/Errors.h"
 #include "robust/FaultInjector.h"
 #include "sim/SweepCheckpoint.h"
 #include "sim/SweepRunner.h"
 #include "trace/WorkloadFactory.h"
-#include "util/Json.h"
+#include "util/Random.h"
 
 namespace csr
 {
@@ -63,6 +62,13 @@ slurp(const std::string &path)
     return ss.str();
 }
 
+void
+spit(const std::string &path, const std::string &data)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
 // ---------------------------------------------------------------------------
 // Typed errors
 // ---------------------------------------------------------------------------
@@ -93,128 +99,7 @@ TEST(Errors, KindsAndExitCodesAreDistinct)
 }
 
 // ---------------------------------------------------------------------------
-// JSONL substrate
-// ---------------------------------------------------------------------------
-
-TEST(CheckpointLog, WriterReaderRoundTrip)
-{
-    TempPath path("jsonl_roundtrip.jsonl");
-    {
-        JsonlWriter writer;
-        writer.open(path.str(), /*truncate=*/true);
-        writer.appendLine("{\"a\":1}");
-        writer.appendLine("{\"b\":\"two\"}");
-    }
-    const auto records = readJsonlFile(path.str());
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].text, "{\"a\":1}");
-    EXPECT_EQ(records[0].lineNumber, 1u);
-    EXPECT_EQ(records[0].byteOffset, 0u);
-    EXPECT_TRUE(records[0].terminated);
-    EXPECT_EQ(records[1].byteOffset, 8u);
-    EXPECT_TRUE(records[1].terminated);
-}
-
-TEST(CheckpointLog, MissingFileReadsEmpty)
-{
-    EXPECT_TRUE(readJsonlFile("/nonexistent/definitely/not.jsonl")
-                    .empty());
-}
-
-TEST(CheckpointLog, UnwritablePathIsConfigError)
-{
-    JsonlWriter writer;
-    EXPECT_THROW(writer.open("/nonexistent-dir/x.jsonl", true),
-                 ConfigError);
-}
-
-TEST(CheckpointLog, TornFinalLineIsMarkedUnterminated)
-{
-    TempPath path("jsonl_torn.jsonl");
-    {
-        std::ofstream os(path.str(), std::ios::binary);
-        os << "{\"a\":1}\n{\"b\":2";  // killed mid-append
-    }
-    const auto records = readJsonlFile(path.str());
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_TRUE(records[0].terminated);
-    EXPECT_FALSE(records[1].terminated);
-    EXPECT_EQ(records[1].text, "{\"b\":2");
-}
-
-TEST(CheckpointLog, DoubleBitsRoundTripExactly)
-{
-    const double values[] = {0.0, -0.0, 1.0 / 3.0, -13.957,
-                             1e308, 5e-324};
-    for (const double v : values) {
-        JsonlRecord record;
-        record.text = "{\"v\":\"" + jsonDoubleBits(v) + "\"}";
-        record.terminated = true;
-        const JsonLineView line(record);
-        const double back = line.getDoubleBits("v");
-        EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0)
-            << jsonDoubleBits(v);
-    }
-}
-
-TEST(CheckpointLog, EscapeRoundTripsThroughParser)
-{
-    const std::string nasty = "a\"b\\c\nd\te\rf\x01g";
-    JsonlRecord record;
-    record.text = "{\"k\":\"" + jsonEscape(nasty) + "\"}";
-    record.terminated = true;
-    const JsonLineView line(record);
-    EXPECT_EQ(line.getString("k"), nasty);
-}
-
-TEST(CheckpointLog, MalformedLinesThrowNeverCrash)
-{
-    const char *bad[] = {
-        "",
-        "x",
-        "{",
-        "}",
-        "{}x",
-        "{\"a\"}",
-        "{\"a\":}",
-        "{\"a\":1",
-        "{\"a\":1,}",
-        "{'a':1}",
-        "{\"a\":01x}",
-        "{\"a\":\"unterminated",
-        "{\"a\":\"bad\\q\"}",
-        "{\"a\":\"\\u12\"}",
-        "{\"a\":[1,2]}",
-        "{\"a\":{\"b\":1}}",
-        "{\"a\":1}{\"b\":2}",
-        "\xff\xfe\x00garbage",
-    };
-    for (const char *text : bad) {
-        JsonlRecord record;
-        record.text = text;
-        record.lineNumber = 3;
-        record.terminated = true;
-        EXPECT_THROW(JsonLineView{record}, CheckpointError) << text;
-    }
-}
-
-TEST(CheckpointLog, AccessorsTypeCheck)
-{
-    JsonlRecord record;
-    record.text = "{\"s\":\"x\",\"n\":12,\"neg\":-3,\"bits\":\"zz\"}";
-    record.terminated = true;
-    const JsonLineView line(record);
-    EXPECT_EQ(line.getString("s"), "x");
-    EXPECT_EQ(line.getUInt("n"), 12u);
-    EXPECT_THROW(line.getUInt("missing"), CheckpointError);
-    EXPECT_THROW(line.getUInt("s"), CheckpointError);   // string
-    EXPECT_THROW(line.getUInt("neg"), CheckpointError); // negative
-    EXPECT_THROW(line.getString("n"), CheckpointError); // number
-    EXPECT_THROW(line.getDoubleBits("bits"), CheckpointError);
-}
-
-// ---------------------------------------------------------------------------
-// Sweep checkpoint codec
+// Sweep journal: writer, line reader and loader
 // ---------------------------------------------------------------------------
 
 SweepGrid
@@ -225,6 +110,284 @@ tinyGrid()
     grid.benchmarks = {BenchmarkId::Lu};
     grid.policies = {PolicyKind::Lru, PolicyKind::Dcl};
     return grid;
+}
+
+/** Write @p lines to @p path through the journal writer. */
+void
+writeJournal(const std::string &path, const std::vector<std::string> &lines)
+{
+    SweepJournal journal;
+    journal.open(path, /*truncate=*/true);
+    for (const std::string &line : lines)
+        journal.append(line);
+}
+
+SweepCellResult
+cellResult(const SweepCell &cell, std::size_t index)
+{
+    SweepCellResult result;
+    result.cell = cell;
+    result.index = index;
+    result.sampledRefs = 123;
+    result.l2Hits = 45;
+    result.l2Misses = 78;
+    result.aggregateCost = 1.0 / 3.0;
+    result.lruCost = 7.125;
+    return result;
+}
+
+CellFailure
+cellFailure(const SweepCell &cell, std::size_t index,
+            const std::string &message)
+{
+    CellFailure failure;
+    failure.cell = cell;
+    failure.index = index;
+    failure.kind = "InjectedFaultError";
+    failure.message = message;
+    failure.attempts = 3;
+    return failure;
+}
+
+std::string
+headerOf(const std::vector<SweepCell> &cells)
+{
+    return checkpointHeaderLine(gridFingerprint(cells), cells.size());
+}
+
+/** what() of the CheckpointError that loading @p path raises; "" if
+ *  it loads. */
+std::string
+loadError(const std::string &path, const std::vector<SweepCell> &cells)
+{
+    try {
+        loadSweepCheckpoint(path, cells);
+    } catch (const CheckpointError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CheckpointLog, WriterReaderRoundTrip)
+{
+    const auto cells = tinyGrid().expand();
+    TempPath path("journal_roundtrip.journal");
+    const SweepCellResult result = cellResult(cells[0], 0);
+    writeJournal(path.str(), {headerOf(cells), checkpointCellLine(result)});
+
+    const std::string h0 = std::to_string(cells[0].hash());
+    EXPECT_EQ(slurp(path.str()),
+              headerOf(cells) + "\ncell 0 " + h0 +
+                  " 123 45 78 0.3333333333333333 7.125\n");
+    EXPECT_EQ(headerOf(cells).rfind("csrsweep 2 ", 0), 0u);
+
+    const auto state = loadSweepCheckpoint(path.str(), cells);
+    EXPECT_TRUE(state.headerValid);
+    ASSERT_EQ(state.results.size(), 1u);
+    EXPECT_EQ(state.results.at(0).l2Hits, 45u);
+}
+
+TEST(CheckpointLog, MissingFileReadsEmpty)
+{
+    const auto state = loadSweepCheckpoint(
+        "/nonexistent/definitely/not.journal", tinyGrid().expand());
+    EXPECT_FALSE(state.headerValid);
+    EXPECT_TRUE(state.results.empty());
+}
+
+TEST(CheckpointLog, UnwritablePathIsConfigError)
+{
+    SweepJournal journal;
+    EXPECT_THROW(journal.open("/nonexistent-dir/x.journal", true),
+                 ConfigError);
+}
+
+TEST(CheckpointLog, TornFinalLineIsMarkedUnterminated)
+{
+    const auto cells = tinyGrid().expand();
+    TempPath path("journal_torn.journal");
+    const std::string cell = checkpointCellLine(cellResult(cells[0], 0));
+    // Killed mid-append, at every byte of the last line: the torn line
+    // is dropped, never an error, and the whole lines before it load.
+    for (std::size_t cut = 1; cut < cell.size(); ++cut) {
+        spit(path.str(), headerOf(cells) + "\n" + cell.substr(0, cut));
+        const auto state = loadSweepCheckpoint(path.str(), cells);
+        EXPECT_TRUE(state.headerValid);
+        EXPECT_TRUE(state.results.empty()) << cut;
+    }
+    // A torn header restores nothing: the sweep starts a new journal.
+    spit(path.str(), headerOf(cells).substr(0, 12));
+    EXPECT_FALSE(loadSweepCheckpoint(path.str(), cells).headerValid);
+}
+
+TEST(CheckpointLog, DoubleBitsRoundTripExactly)
+{
+    const auto cells = tinyGrid().expand();
+    TempPath path("journal_doubles.journal");
+    const double values[] = {0.0, -0.0, 1.0 / 3.0, -13.957,
+                             1e308, 5e-324};
+    for (const double v : values) {
+        SweepCellResult result = cellResult(cells[0], 0);
+        result.aggregateCost = v;
+        result.lruCost = -v;
+        const std::string line = checkpointCellLine(result);
+        writeJournal(path.str(), {headerOf(cells), line});
+        const SweepCellResult back =
+            loadSweepCheckpoint(path.str(), cells).results.at(0);
+        const double negated = -v;
+        EXPECT_EQ(std::memcmp(&back.aggregateCost, &v, sizeof v), 0)
+            << line;
+        EXPECT_EQ(std::memcmp(&back.lruCost, &negated, sizeof v), 0)
+            << line;
+    }
+}
+
+TEST(CheckpointLog, EscapeRoundTripsThroughParser)
+{
+    const auto cells = tinyGrid().expand();
+    TempPath path("journal_text.journal");
+    const CellFailure failure =
+        cellFailure(cells[1], 1, "a\"b\\c\nd\te\rf\x01g");
+    writeJournal(path.str(), {headerOf(cells),
+                              checkpointFailureLine(failure)});
+
+    const std::string text = slurp(path.str());
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+    EXPECT_NE(text.find("InjectedFaultError a\"b\\c d e f g\n"),
+              std::string::npos)
+        << text;
+    const auto state = loadSweepCheckpoint(path.str(), cells);
+    EXPECT_TRUE(state.headerValid);
+    EXPECT_TRUE(state.results.empty()); // a failure is re-run
+}
+
+TEST(CheckpointLog, MalformedLinesThrowNeverCrash)
+{
+    const auto cells = tinyGrid().expand();
+    const std::string h0 = std::to_string(cells[0].hash());
+    const std::string h1 = std::to_string(cells[1].hash());
+    TempPath path("journal_malformed.journal");
+
+    const std::string bad[] = {
+        "",
+        "x",
+        "cell",
+        "cell 0",
+        "cell 0 " + h0,
+        "cell 0 " + h0 + " 1 2 3 4",
+        "cell 0 " + h0 + " 1 2 3 4 5 6",
+        "cell 0 " + h0 + " 1 2 3 4 5 ",
+        "cell  0 " + h0 + " 1 2 3 4 5",
+        "cell 0 " + h0 + " 1 2 3 4 0x5",
+        "cell 0 " + h0 + " +1 2 3 4 5",
+        "cell 2 " + h0 + " 1 2 3 4 5",
+        "cell 1 " + h0 + " 1 2 3 4 5",
+        "cell 0 " + h0 + " 1 2 3 4 5\r",
+        "failure 0 " + h0,
+        "failure 0 " + h0 + " x kind message",
+        "failure 1 " + h0 + " 1 kind message",
+        "header 0 " + h0,
+        headerOf(cells),
+        "{\"type\":\"cell\",\"index\":0}",
+        "\xff\xfe\x00garbage",
+    };
+    for (const std::string &line : bad) {
+        spit(path.str(), headerOf(cells) + "\n" + line + "\n");
+        EXPECT_THROW(loadSweepCheckpoint(path.str(), cells),
+                     CheckpointError)
+            << line;
+    }
+
+    // Mutants of a valid journal -- byte flips, deletions, insertions,
+    // truncations and duplicated lines -- must each load or raise a
+    // CheckpointError, and nothing else.
+    const std::vector<std::string> lines = {
+        headerOf(cells),
+        checkpointCellLine(cellResult(cells[0], 0)),
+        checkpointFailureLine(cellFailure(cells[1], 1, "injected")),
+        checkpointCellLine(cellResult(cells[1], 1)),
+    };
+    std::string valid;
+    for (const std::string &line : lines)
+        valid += line + "\n";
+    Rng rng(2026);
+    std::size_t loaded = 0, rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+        std::string text = valid;
+        const int edits = 1 + static_cast<int>(rng.nextBelow(3));
+        for (int e = 0; e < edits && !text.empty(); ++e) {
+            const std::size_t at = rng.nextBelow(text.size());
+            const char byte = static_cast<char>(rng.nextBelow(256));
+            switch (rng.nextBelow(5)) {
+              case 0:
+                text[at] = static_cast<char>(
+                    text[at] ^ (1 << rng.nextBelow(8)));
+                break;
+              case 1:
+                text.erase(at, 1);
+                break;
+              case 2:
+                text.insert(at, 1, byte);
+                break;
+              case 3:
+                text.resize(at);
+                break;
+              default: { // a duplicated line, at a line start
+                  const std::size_t nl = text.rfind('\n', at);
+                  text.insert(nl == std::string::npos ? 0 : nl + 1,
+                              lines[rng.nextBelow(lines.size())] + "\n");
+              }
+            }
+        }
+        spit(path.str(), text);
+        try {
+            loadSweepCheckpoint(path.str(), cells);
+            ++loaded;
+        } catch (const CheckpointError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "mutant " << i << " threw " << e.what();
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(CheckpointLog, AccessorsTypeCheck)
+{
+    const auto cells = tinyGrid().expand();
+    TempPath path("journal_fields.journal");
+    const std::string good = checkpointCellLine(cellResult(cells[0], 0));
+    // Field number (0 = the record type) -> a value it must reject.
+    const std::pair<int, std::string> cases[] = {
+        {3, "many"},                 // non-numeric
+        {4, "-3"},                   // negative
+        {5, "18446744073709551616"}, // 2^64
+        {6, "inf"},                  // non-finite
+        {7, "nan"},
+        {7, "1e999"},
+    };
+    for (const auto &[field, value] : cases) {
+        std::vector<std::string> tokens;
+        std::istringstream words(good);
+        for (std::string word; words >> word;)
+            tokens.push_back(word);
+        tokens[field] = value;
+        std::string line, offset;
+        for (std::size_t t = 0; t < tokens.size(); ++t) {
+            if (t == static_cast<std::size_t>(field))
+                offset = std::to_string(headerOf(cells).size() + 1 +
+                                        line.size());
+            line += tokens[t] + (t + 1 < tokens.size() ? " " : "");
+        }
+        writeJournal(path.str(), {headerOf(cells), line});
+        const std::string what = loadError(path.str(), cells);
+        EXPECT_NE(what.find("line 2 (byte offset " + offset + ")"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'" + value + "'"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(SweepCheckpoint, FingerprintIsOrderAndContentSensitive)
@@ -243,76 +406,49 @@ TEST(SweepCheckpoint, FingerprintIsOrderAndContentSensitive)
 TEST(SweepCheckpoint, CellAndFailureLinesRoundTrip)
 {
     const auto cells = tinyGrid().expand();
-    TempPath path("ckpt_roundtrip.jsonl");
-
-    SweepCellResult result;
-    result.cell = cells[0];
-    result.index = 0;
-    result.sampledRefs = 123;
-    result.l2Hits = 45;
-    result.l2Misses = 78;
-    result.aggregateCost = 1.0 / 3.0;
-    result.lruCost = -7.125;
-    result.savingsPct = 99.9;
-
-    CellFailure failure;
-    failure.cell = cells[1];
-    failure.index = 1;
-    failure.kind = "InjectedFaultError";
-    failure.message = "weird \"quoted\"\nmessage";
-    failure.attempts = 3;
-
-    {
-        JsonlWriter writer;
-        writer.open(path.str(), true);
-        writer.appendLine(
-            checkpointHeaderLine(gridFingerprint(cells), cells.size()));
-        writer.appendLine(checkpointCellLine(result));
-        writer.appendLine(checkpointFailureLine(failure));
-    }
+    TempPath path("ckpt_roundtrip.journal");
+    SweepCellResult result = cellResult(cells[0], 0);
+    result.lruCost = 1.5;
+    writeJournal(path.str(),
+                 {headerOf(cells), checkpointCellLine(result),
+                  checkpointFailureLine(cellFailure(
+                      cells[1], 1, "weird \"quoted\"\nmessage"))});
 
     const auto state = loadSweepCheckpoint(path.str(), cells);
     EXPECT_TRUE(state.headerValid);
     ASSERT_EQ(state.results.size(), 1u);
-    ASSERT_EQ(state.failures.size(), 1u);
     const SweepCellResult &r = state.results.at(0);
+    EXPECT_EQ(r.index, 0u);
+    EXPECT_EQ(r.seed, cells[0].hash());
     EXPECT_EQ(r.sampledRefs, 123u);
+    EXPECT_EQ(r.l2Hits, 45u);
     EXPECT_EQ(r.l2Misses, 78u);
     EXPECT_EQ(r.aggregateCost, 1.0 / 3.0);
-    EXPECT_EQ(r.lruCost, -7.125);
-    const CellFailure &f = state.failures.at(1);
-    EXPECT_EQ(f.kind, "InjectedFaultError");
-    EXPECT_EQ(f.message, failure.message);
-    EXPECT_EQ(f.attempts, 3u);
+    EXPECT_EQ(r.lruCost, 1.5);
+    // Savings are not stored: the loader recomputes them as the
+    // runner does.
+    EXPECT_EQ(r.savingsPct, relativeCostSavings(1.5, 1.0 / 3.0));
 }
 
 TEST(SweepCheckpoint, LaterSuccessSupersedesEarlierFailure)
 {
     const auto cells = tinyGrid().expand();
-    TempPath path("ckpt_supersede.jsonl");
+    TempPath path("ckpt_supersede.journal");
+    const std::string failure =
+        checkpointFailureLine(cellFailure(cells[0], 0, "transient"));
+    const std::string success = checkpointCellLine(cellResult(cells[0], 0));
 
-    CellFailure failure;
-    failure.cell = cells[0];
-    failure.index = 0;
-    failure.kind = "InjectedFaultError";
-    failure.message = "transient";
+    writeJournal(path.str(), {headerOf(cells), failure, failure, success});
+    EXPECT_EQ(loadSweepCheckpoint(path.str(), cells).results.size(), 1u);
 
-    SweepCellResult result;
-    result.cell = cells[0];
-    result.index = 0;
-    result.sampledRefs = 11;
-
-    {
-        JsonlWriter writer;
-        writer.open(path.str(), true);
-        writer.appendLine(
-            checkpointHeaderLine(gridFingerprint(cells), cells.size()));
-        writer.appendLine(checkpointFailureLine(failure));
-        writer.appendLine(checkpointCellLine(result));
+    // Nothing may follow a recorded success.
+    for (const std::string &after : {failure, success}) {
+        writeJournal(path.str(), {headerOf(cells), success, after});
+        EXPECT_NE(loadError(path.str(), cells)
+                      .find("duplicate entry for completed cell 0"),
+                  std::string::npos)
+            << after;
     }
-    const auto state = loadSweepCheckpoint(path.str(), cells);
-    EXPECT_EQ(state.results.size(), 1u);
-    EXPECT_TRUE(state.failures.empty());
 }
 
 TEST(SweepCheckpoint, WrongGridOrCorruptJournalIsCheckpointError)
@@ -322,41 +458,40 @@ TEST(SweepCheckpoint, WrongGridOrCorruptJournalIsCheckpointError)
     other.policies = {PolicyKind::Lru};
     const auto other_cells = other.expand();
 
-    TempPath path("ckpt_badgrid.jsonl");
-    {
-        JsonlWriter writer;
-        writer.open(path.str(), true);
-        writer.appendLine(checkpointHeaderLine(
-            gridFingerprint(other_cells), other_cells.size()));
-    }
-    EXPECT_THROW(loadSweepCheckpoint(path.str(), cells),
-                 CheckpointError);
+    TempPath path("ckpt_badgrid.journal");
+    writeJournal(path.str(), {headerOf(other_cells)});
+    EXPECT_NE(loadError(path.str(), cells).find("different grid"),
+              std::string::npos);
 
-    const char *bad_bodies[] = {
-        "{\"type\":\"cell\",\"index\":0}",          // no header first
-        "not json at all",
-        "{\"type\":\"header\",\"version\":99,\"fingerprint\":1,"
-        "\"cells\":2}",
+    // A cell line of another grid's cell is refused by its hash.
+    writeJournal(path.str(),
+                 {headerOf(cells),
+                  checkpointCellLine(cellResult(other_cells[0], 1))});
+    EXPECT_NE(loadError(path.str(), cells).find("does not match"),
+              std::string::npos);
+
+    const std::string bad_bodies[] = {
+        checkpointCellLine(cellResult(cells[0], 0)), // no header first
+        "not a journal at all",
+        "csrsweep 99 1 2",
+        headerOf(cells) + " 7",
     };
-    for (const char *body : bad_bodies) {
-        std::ofstream os(path.str(), std::ios::binary);
-        os << body << "\n";
-        os.close();
+    for (const std::string &body : bad_bodies) {
+        spit(path.str(), body + "\n");
         EXPECT_THROW(loadSweepCheckpoint(path.str(), cells),
                      CheckpointError)
             << body;
     }
 
-    // A torn *final* line is the kill signature, not corruption.
-    {
-        std::ofstream os(path.str(), std::ios::binary);
-        os << checkpointHeaderLine(gridFingerprint(cells),
-                                   cells.size())
-           << "\n{\"type\":\"cell\",\"index\":0,\"ha";
-    }
-    const auto state = loadSweepCheckpoint(path.str(), cells);
-    EXPECT_TRUE(state.headerValid);
-    EXPECT_EQ(state.restoredCount(), 0u);
+    // A version-1 journal names the version and the way out.
+    spit(path.str(),
+             "{\"type\":\"header\",\"version\":1,\"fingerprint\":1,"
+             "\"cells\":2}\n");
+    const std::string v1 = loadError(path.str(), cells);
+    EXPECT_NE(v1.find("predates format version 2"), std::string::npos)
+        << v1;
+    EXPECT_NE(v1.find("without --resume"), std::string::npos) << v1;
+    EXPECT_NE(v1.find(path.str()), std::string::npos) << v1;
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +522,6 @@ TEST(SweepRobust, RetriesRecoverTransientFailures)
     const SweepGrid grid = tinyGrid();
     SweepOptions options;
     options.maxAttempts = 3;
-    options.retryBackoffMs = 0;
     options.cellProbe = [](const SweepCell &, unsigned attempt) {
         if (attempt < 3)
             throw CheckpointError("transient");
@@ -420,7 +554,7 @@ TEST(SweepRobust, KilledSweepResumesByteIdentically)
     const SweepGrid grid = tinyGrid();
     TempPath uninterrupted_json("resume_clean.json");
     TempPath interrupted_json("resume_resumed.json");
-    TempPath checkpoint("resume_ck.jsonl");
+    TempPath checkpoint("resume_ck.journal");
 
     // The reference: one uninterrupted run.
     SweepRunner(2).run(grid).writeJson(uninterrupted_json.str(),
@@ -463,7 +597,7 @@ TEST(SweepRobust, KilledSweepResumesByteIdentically)
 
 TEST(SweepRobust, ResumeAgainstDifferentGridIsCheckpointError)
 {
-    TempPath checkpoint("resume_wronggrid.jsonl");
+    TempPath checkpoint("resume_wronggrid.journal");
     SweepOptions options;
     options.checkpointPath = checkpoint.str();
     SweepRunner(1).run(tinyGrid(), options);
@@ -477,13 +611,6 @@ TEST(SweepRobust, ResumeAgainstDifferentGridIsCheckpointError)
 // ---------------------------------------------------------------------------
 // Sampled trace files (csrsim trace --save-trace/--load-trace)
 // ---------------------------------------------------------------------------
-
-void
-spit(const std::string &path, const std::string &data)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
 
 /** Processor 1's load and store, then another processor's write. */
 SampledTrace
@@ -739,10 +866,14 @@ TEST(FaultInjector, EveryProbeSiteFires)
 {
     TempPath trace("probe_sites.csrt");
     replay::saveSampledTrace(trace.str(), tinySampledTrace());
-    TempPath journal("probe_sites.jsonl");
-    JsonlWriter writer;
-    writer.open(journal.str(), /*truncate=*/true);
-    writer.appendLine("{\"a\":1}");
+    const auto cells = tinyGrid().expand();
+    const std::string header = headerOf(cells);
+    const std::string cell0 = checkpointCellLine(cellResult(cells[0], 0));
+    const std::string cell1 = checkpointCellLine(cellResult(cells[1], 1));
+    TempPath path("probe_sites.journal");
+    SweepJournal journal;
+    journal.open(path.str(), /*truncate=*/true);
+    journal.append(header);
     NumaConfig numa;
     numa.cycleNs = 1;
     auto wl = makeWorkload(BenchmarkId::Lu, WorkloadScale::Test, true);
@@ -753,7 +884,7 @@ TEST(FaultInjector, EveryProbeSiteFires)
     // Outside a scope no site fires, even at rate 1.
     EXPECT_EQ(replay::loadSampledRecords(trace.str(), 1, 64).size(), 3u);
     EXPECT_GT(NumaSystem(numa, *wl).run().totalOps, 0u);
-    writer.appendLine("{\"b\":2}");
+    journal.append(cell0);
     EXPECT_EQ(injector.injectedCount(), 0u);
 
     std::string load, sim, append;
@@ -762,7 +893,7 @@ TEST(FaultInjector, EveryProbeSiteFires)
         load = injectedFault(
             [&] { replay::loadSampledRecords(trace.str(), 1, 64); });
         sim = injectedFault([&] { NumaSystem(numa, *wl).run(); });
-        append = injectedFault([&] { writer.appendLine("{\"c\":3}"); });
+        append = injectedFault([&] { journal.append(cell1); });
     }
     const std::uint64_t injected = injector.injectedCount();
     injector.configure(0.0, 0);
@@ -776,16 +907,11 @@ TEST(FaultInjector, EveryProbeSiteFires)
     EXPECT_EQ(injected, 3u);
 
     // The failed append wrote nothing: the journal still holds the
-    // earlier lines, whole, and takes the next one.
-    writer.appendLine("{\"d\":4}");
-    writer.close();
-    const auto records = readJsonlFile(journal.str());
-    ASSERT_EQ(records.size(), 3u);
-    EXPECT_EQ(records[0].text, "{\"a\":1}");
-    EXPECT_EQ(records[1].text, "{\"b\":2}");
-    EXPECT_EQ(records[2].text, "{\"d\":4}");
-    for (const JsonlRecord &record : records)
-        EXPECT_TRUE(record.terminated);
+    // earlier lines, whole, takes the next one, and loads.
+    journal.append(cell1);
+    EXPECT_EQ(slurp(path.str()),
+              header + "\n" + cell0 + "\n" + cell1 + "\n");
+    EXPECT_EQ(loadSweepCheckpoint(path.str(), cells).results.size(), 2u);
 }
 
 TEST(FaultInjector, CompiledProbesInjectIntoSweepCells)
@@ -811,7 +937,6 @@ TEST(FaultInjector, InjectedSweepIsRepeatable)
     FaultInjector &injector = FaultInjector::instance();
     SweepOptions options;
     options.maxAttempts = 4;
-    options.retryBackoffMs = 0;
 
     injector.configure(0.4, 2026);
     const SweepResult a = SweepRunner(1).run(tinyGrid(), options);

@@ -318,5 +318,39 @@ TEST(SweepResult, TableHasOneRowPerCell)
     EXPECT_EQ(sweep.timingTable().numRows(), 11u);
 }
 
+TEST(SweepResult, FailedJsonWriteIsConfigError)
+{
+    // A full disk fails the final flush: an error, not a truncated file.
+    EXPECT_THROW(SweepResult().writeJson("/dev/full"), ConfigError);
+    EXPECT_THROW(SweepResult().writeJson("/nonexistent-dir/s.json"),
+                 ConfigError);
+}
+
+TEST(CostRatio, OneParserAndShortestLabels)
+{
+    EXPECT_TRUE(parseCostRatio("inf").infinite);
+    EXPECT_TRUE(parseCostRatio("INF").infinite);
+    EXPECT_EQ(parseCostRatio("2.5").high, 2.5);
+    EXPECT_EQ(parseCostRatio("8").high, 8.0);
+    for (const char *bad : {"0", "-3", "banana", "", "nan", "infinity",
+                            "1e999", "4x", " 4"})
+        EXPECT_THROW(parseCostRatio(bad), ConfigError) << bad;
+
+    EXPECT_EQ(CostRatio::finite(8).label(), "r=8");
+    EXPECT_EQ(CostRatio::finite(100000).label(), "r=100000");
+    EXPECT_EQ(CostRatio::finite(2.5).label(), "r=2.5");
+    EXPECT_EQ(CostRatio::makeInfinite().label(), "r=inf");
+
+    // Two ratios that truncate to one integer stay two columns.
+    const auto cells = parseGridSpec("benchmarks=lu;policies=dcl;"
+                                     "mappings=first-touch;ratios=2,2.5;"
+                                     "scale=test")
+                           .expand();
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_EQ(cells[1].ratio.label(), "r=2.5");
+    EXPECT_NE(cells[0].label(), cells[1].label());
+    EXPECT_THROW(parseGridSpec("ratios=0"), ConfigError);
+}
+
 } // namespace
 } // namespace csr

@@ -399,6 +399,16 @@ TEST(MetricRegistry, WritesValidJsonSchema)
     EXPECT_EQ(json.find("\"counts\""), std::string::npos);
 }
 
+TEST(MetricRegistry, FailedWriteIsConfigError)
+{
+    MetricRegistry registry;
+    registry.incCounter("x", 1);
+    // A full disk fails the final flush: an error, not a truncated file.
+    EXPECT_THROW(registry.writeJson("/dev/full"), ConfigError);
+    EXPECT_THROW(registry.writeJson("/nonexistent-dir/m.json"),
+                 ConfigError);
+}
+
 TEST(MetricRegistry, MergeCombinesEveryKind)
 {
     MetricRegistry a, b;

@@ -62,7 +62,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -229,9 +228,10 @@ report(const CliArgs &args, const HarnessResult &result,
     result.timingTable().print(std::cerr);
 
     if (!args.jsonPath().empty()) {
-        std::ofstream os(args.jsonPath());
-        result.writeJsonObject(os, policy, workload);
-        os << "\n";
+        writeOutputFile(args.jsonPath(), [&](std::ostream &os) {
+            result.writeJsonObject(os, policy, workload);
+            os << "\n";
+        });
         inform("wrote JSON to %s", args.jsonPath().c_str());
     }
 

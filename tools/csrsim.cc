@@ -58,8 +58,9 @@
  *       retried (--retries) and then recorded as a failure while the
  *       rest of the grid completes; a sweep with failures prints a
  *       failure appendix and exits with code 10.  --checkpoint
- *       journals finished cells to an append-only JSONL file;
- *       --resume restores them on restart, and a killed-and-resumed
+ *       journals each cell's outcome, one plain-text line per cell
+ *       (sim/SweepCheckpoint.h); --resume restores the finished ones
+ *       on restart and re-runs the rest, and a killed-and-resumed
  *       sweep's grid output is byte-identical to an uninterrupted run
  *       (pass --json-timing 0 to make the JSON byte-stable too).
  *
@@ -85,7 +86,6 @@
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -201,7 +201,7 @@ runTrace(const CliArgs &args)
     // `traces=` cell's costs).
     SweepCell cell = sourceCell(id, args.get("load-trace", ""), wl.scale);
     cell.mapping = parseCostMapping(args.get("mapping", "first-touch"));
-    cell.ratio = CostRatio::finite(args.getDouble("ratio", 4.0));
+    cell.ratio = parseCostRatio(args.get("ratio", "4"));
     cell.haf = args.getDouble("haf", 0.3);
     const auto model_ptr = makeCellCostModel(cell, trace);
     const CostModel &model = *model_ptr;
@@ -343,14 +343,11 @@ runReplay(const CliArgs &args)
         .print(std::cout);
     result.timingTable().print(std::cerr);
 
-    if (args.has("json")) {
-        std::ofstream os(args.jsonPath());
-        result.writeJsonObject(os, policyKindName(config.policy));
-        os << "\n";
-        if (!os)
-            throw ConfigError("--json: cannot write '" +
-                              args.jsonPath() + "'");
-    }
+    if (args.has("json"))
+        writeOutputFile(args.jsonPath(), [&](std::ostream &os) {
+            result.writeJsonObject(os, policyKindName(config.policy));
+            os << "\n";
+        });
 
     if (!args.metricsPath().empty()) {
         MetricRegistry registry;
